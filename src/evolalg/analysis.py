@@ -11,18 +11,13 @@ answer is always definite.  Semiprimeness is three-valued:
 * ``undetermined`` means some support admits a zero-square ideal over the
   closure but the bounded search found no rational point.  The reason is
   recorded in the certificate.
-
-Support loops may run on a small thread pool (size taken from the
-EVOLALG_THREADS environment variable); results are merged in support order so
-the reported witness never depends on scheduling.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -77,26 +72,6 @@ class Verdict3:
         return self.state == NO
 
 
-def thread_cap() -> int:
-    """Worker cap for per-support loops, from EVOLALG_THREADS (default 1)."""
-    raw = os.environ.get("EVOLALG_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
-def _map_supports(func, supports, threads: Optional[int]):
-    workers = thread_cap() if threads is None else max(1, threads)
-    if workers == 1:
-        for gamma in supports:
-            yield gamma, func(gamma)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from zip(supports, pool.map(func, supports))
-
-
 def iter_supports(n: int):
     """Nonempty candidate supports, ascending by size then lexicographically."""
     for size in range(1, n + 1):
@@ -146,6 +121,14 @@ def _embed(n: int, gamma: Sequence[int], compact: Sequence[Rat]) -> Vec:
     return tuple(out)
 
 
+def _support_witnesses(A: EvolutionAlgebra):
+    """Yields the witnesses of ``degeneracy_witnesses`` in support order."""
+    for gamma in iter_supports(A.n):
+        kern = _support_kernel(A, gamma)
+        if kern.dim:
+            yield _embed(A.n, gamma, kern.basis.row(0))
+
+
 def degeneracy_witnesses(
     A: EvolutionAlgebra, support_bound: int = DEFAULT_SUPPORT_BOUND
 ) -> list[Vec]:
@@ -153,12 +136,7 @@ def degeneracy_witnesses(
     nontrivial kernel (the first kernel basis vector)."""
     if A.n > support_bound:
         raise EngineLimitError(f"support bound exceeded: n={A.n} > {support_bound}")
-    out = []
-    for gamma in iter_supports(A.n):
-        kern = _support_kernel(A, gamma)
-        if kern.dim:
-            out.append(_embed(A.n, gamma, kern.basis.row(0)))
-    return out
+    return list(_support_witnesses(A))
 
 
 def degeneracy(
@@ -166,7 +144,6 @@ def degeneracy(
     *,
     engine: str = "linear",
     support_bound: int = DEFAULT_SUPPORT_BOUND,
-    threads: Optional[int] = None,
 ) -> Verdict3:
     """Existence of a nonzero absolute zero divisor.
 
@@ -183,26 +160,21 @@ def degeneracy(
         nondeg = polymod.variety_is_only_origin(polymod.n2_ideal(A))
         if nondeg:
             return Verdict3.no("n2-variety-only-origin")
-        witness = _first_azd_witness(A, threads)
+        witness = _first_azd_witness(A)
         if witness is None:
             raise RuntimeError("internal error: engines disagree on degeneracy")
         return Verdict3.yes("n2-variety-nontrivial", witness)
-    witness = _first_azd_witness(A, threads)
+    witness = _first_azd_witness(A)
     if witness is None:
         return Verdict3.no("all-support-kernels-trivial")
     return Verdict3.yes(f"support-kernel support={sorted(support(witness))}", witness)
 
 
-def _first_azd_witness(A: EvolutionAlgebra, threads: Optional[int]) -> Optional[Vec]:
-    for gamma, kern in _map_supports(
-        lambda g: _support_kernel(A, g), list(iter_supports(A.n)), threads
-    ):
-        if kern.dim:
-            witness = _embed(A.n, gamma, kern.basis.row(0))
-            if not is_absolute_zero_divisor(A, witness):
-                raise RuntimeError("internal error: witness failed re-verification")
-            return witness
-    return None
+def _first_azd_witness(A: EvolutionAlgebra) -> Optional[Vec]:
+    witness = next(_support_witnesses(A), None)
+    if witness is not None and not is_absolute_zero_divisor(A, witness):
+        raise RuntimeError("internal error: witness failed re-verification")
+    return witness
 
 
 def nondegenerate_perfect_check(A: EvolutionAlgebra) -> bool:
@@ -328,12 +300,12 @@ def _semiprime_support(
     return _SupportOutcome("undetermined")
 
 
+@lru_cache(maxsize=1)
 def semiprime(
     A: EvolutionAlgebra,
     *,
     support_bound: int = DEFAULT_SUPPORT_BOUND,
     height_cap: int = DEFAULT_HEIGHT_CAP,
-    threads: Optional[int] = None,
 ) -> Verdict3:
     """Absence of nonzero ideals with zero square.
 
@@ -341,6 +313,10 @@ def semiprime(
     principal ideal of each of its elements, so per support it suffices to
     solve the linear conditions against the reachable squares plus the single
     quadratic condition x^2 = 0.
+
+    The last result is cached: a report asks again through ``prime`` and
+    through ``prime_ideals`` (the quotient by the empty hereditary set is the
+    algebra itself).
     """
     n = A.n
     if n > support_bound:
@@ -359,18 +335,15 @@ def semiprime(
         return hit
 
     undetermined_supports: list[tuple[int, ...]] = []
-    for gamma, outcome in _map_supports(
-        lambda gm: _semiprime_support(A, gm, reach_sets, sq_product_zero, height_cap),
-        list(iter_supports(n)),
-        threads,
-    ):
+    for gamma in iter_supports(n):
+        outcome = _semiprime_support(A, gamma, reach_sets, sq_product_zero, height_cap)
         if outcome.kind == "witness":
             ideal = A.ideal_generated_by(outcome.witness)
             _verify_zero_square_ideal(A, ideal)
             sup = sorted(support(outcome.witness))
             return Verdict3.no(f"principal-zero-square-ideal support={sup}", ideal)
         if outcome.kind == "undetermined":
-            undetermined_supports.append(tuple(gamma))
+            undetermined_supports.append(gamma)
     if undetermined_supports:
         shown = ", ".join(str(list(s)) for s in undetermined_supports[:4])
         return Verdict3.undetermined(
@@ -398,7 +371,6 @@ def prime(
     *,
     support_bound: int = DEFAULT_SUPPORT_BOUND,
     height_cap: int = DEFAULT_HEIGHT_CAP,
-    threads: Optional[int] = None,
 ) -> Verdict3:
     """Primeness.
 
@@ -411,9 +383,7 @@ def prime(
         return Verdict3.no("graph-not-downward-directed")
     if A.is_perfect():
         return Verdict3.yes("perfect-and-downward-directed")
-    sp = semiprime(
-        A, support_bound=support_bound, height_cap=height_cap, threads=threads
-    )
+    sp = semiprime(A, support_bound=support_bound, height_cap=height_cap)
     if sp.is_yes:
         return Verdict3.yes("semiprime-and-downward-directed")
     if sp.is_no:
@@ -434,7 +404,6 @@ def prime_ideals(
     support_bound: int = DEFAULT_SUPPORT_BOUND,
     height_cap: int = DEFAULT_HEIGHT_CAP,
     hereditary_bound: int = graphmod.DEFAULT_HEREDITARY_BOUND,
-    threads: Optional[int] = None,
 ) -> PrimeIdealsResult:
     """All prime ideals, as basic ideals on hereditary sets.
 
@@ -454,10 +423,7 @@ def prime_ideals(
             rejected.append((h, "quotient-not-downward-directed"))
             continue
         verdict = semiprime(
-            A.quotient_by_basic(h),
-            support_bound=support_bound,
-            height_cap=height_cap,
-            threads=threads,
+            A.quotient_by_basic(h), support_bound=support_bound, height_cap=height_cap
         )
         if verdict.is_yes:
             primes.append(A.basic_ideal(h))
@@ -528,6 +494,7 @@ class CentroidBasis:
     basis_mats: tuple[Mat, ...]
 
 
+@lru_cache(maxsize=1)
 def centroid(A: EvolutionAlgebra, *, unknown_bound: int = DEFAULT_CENTROID_BOUND) -> CentroidBasis:
     """Kernel basis of the centralizer equations in the n^2 unknowns t_ij.
 
@@ -535,6 +502,9 @@ def centroid(A: EvolutionAlgebra, *, unknown_bound: int = DEFAULT_CENTROID_BOUND
     i != j and T(e_i^2) = e_i T(e_i) for all i.  Off-diagonal unknowns whose
     column of M is nonzero are forced to zero and eliminated up front; the
     remaining homogeneous system is solved exactly.
+
+    The last result is cached: ``decompose`` asks again for the one summand of
+    a connected algebra, which is the algebra itself.
     """
     n = A.n
     if n * n > unknown_bound:

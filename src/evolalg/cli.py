@@ -16,9 +16,6 @@ basis vector i).  Entries are integers or exact fraction strings like
 Commands: analyze, graph, prime-ideals, centroid, decompose, series, element,
 random.  Exit codes: 0 all verdicts determined, 1 input error, 2 at least one
 undetermined verdict or engine limit (verdicts are still emitted).
-
-The only environment variable honoured is EVOLALG_THREADS, an optional cap on
-worker threads for the per-support engine loops.
 """
 
 from __future__ import annotations
@@ -177,6 +174,23 @@ def _witness_json(w):
     raise TypeError(f"unexpected witness payload {type(w).__name__}")
 
 
+def _prime_ideals_json(A: EvolutionAlgebra, res: analysis.PrimeIdealsResult) -> dict:
+    return {
+        "primes": [
+            {
+                "vertices": [A.labels[i] for i in sorted(b.vertices)],
+                "space": _subspace_json(b.space),
+            }
+            for b in res.primes
+        ],
+        "undetermined": [[A.labels[i] for i in sorted(h)] for h in res.undetermined],
+        "rejected": [
+            {"vertices": [A.labels[i] for i in sorted(h)], "reason": reason}
+            for h, reason in res.rejected
+        ],
+    }
+
+
 def _verdict_json(v: Verdict3) -> dict:
     return {"state": v.state, "certificate": v.certificate, "witness": _witness_json(v.witness)}
 
@@ -218,22 +232,7 @@ def build_report(
         pres = analysis.prime_ideals(
             A, support_bound=support_bound, height_cap=height_cap
         )
-        prime_ideals_json = {
-            "primes": [
-                {
-                    "vertices": [A.labels[i] for i in sorted(b.vertices)],
-                    "space": _subspace_json(b.space),
-                }
-                for b in pres.primes
-            ],
-            "undetermined": [
-                [A.labels[i] for i in sorted(h)] for h in pres.undetermined
-            ],
-            "rejected": [
-                {"vertices": [A.labels[i] for i in sorted(h)], "reason": reason}
-                for h, reason in pres.rejected
-            ],
-        }
+        prime_ideals_json = _prime_ideals_json(A, pres)
         prime_ideals_undetermined = bool(pres.undetermined)
     except EngineLimitError as exc:
         limits.append(str(exc))
@@ -491,20 +490,7 @@ def _cmd_prime_ideals(args) -> int:
     except EngineLimitError as exc:
         sys.stderr.write(f"engine limit: {exc}\n")
         return 2
-    payload = {
-        "primes": [
-            {
-                "vertices": [A.labels[i] for i in sorted(b.vertices)],
-                "space": _subspace_json(b.space),
-            }
-            for b in res.primes
-        ],
-        "undetermined": [[A.labels[i] for i in sorted(h)] for h in res.undetermined],
-        "rejected": [
-            {"vertices": [A.labels[i] for i in sorted(h)], "reason": r}
-            for h, r in res.rejected
-        ],
-    }
+    payload = _prime_ideals_json(A, res)
     if args.json:
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:

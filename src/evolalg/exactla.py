@@ -102,13 +102,6 @@ class Mat:
     def to_rows(self) -> list[list[Rat]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "Mat":
-        return Mat(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def matvec(self, v: Sequence[Rat]) -> Vec:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")

@@ -57,10 +57,6 @@ def from_matrix(m: Mat) -> DiGraph:
     return DiGraph(n, adj)
 
 
-def from_algebra(algebra) -> DiGraph:
-    return from_matrix(algebra.M)
-
-
 def sinks(g: DiGraph) -> frozenset[int]:
     return frozenset(i for i in range(g.n) if not g.adj[i])
 
@@ -86,10 +82,6 @@ def reach(g: DiGraph, seed: Iterable[int]) -> frozenset[int]:
                 seen.add(w)
                 stack.append(w)
     return frozenset(seen)
-
-
-def hereditary_closure(g: DiGraph, s: Iterable[int]) -> frozenset[int]:
-    return reach(g, s)
 
 
 def is_hereditary(g: DiGraph, s: Iterable[int]) -> bool:

@@ -116,19 +116,6 @@ class TestDegeneracy:
             == analysis.degeneracy(a, engine="linear").state
         )
 
-    def test_threaded_run_matches_sequential(self, deg4, complete2):
-        for a in (deg4, complete2):
-            seq = analysis.degeneracy(a, threads=1)
-            par = analysis.degeneracy(a, threads=4)
-            assert seq == par
-
-    def test_thread_cap_from_environment(self, deg4, monkeypatch):
-        monkeypatch.setenv("EVOLALG_THREADS", "3")
-        assert analysis.thread_cap() == 3
-        assert analysis.degeneracy(deg4).witness == vec([0, 0, 0, 1])
-        monkeypatch.setenv("EVOLALG_THREADS", "nonsense")
-        assert analysis.thread_cap() == 1
-
 
 class TestNondegeneratePerfectCheck:
     def test_all_loops(self):
@@ -216,10 +203,6 @@ class TestSemiprime:
     def test_semiprime_yes_implies_zero_annihilator(self, a):
         if analysis.semiprime(a).state == "yes":
             assert analysis.is_zero_annihilator(a)
-
-    def test_threaded_run_matches_sequential(self, five, complete2):
-        for a in (five, complete2):
-            assert analysis.semiprime(a, threads=4) == analysis.semiprime(a, threads=1)
 
     def test_sum_of_squares_support_is_undetermined_but_verdict_definite(self):
         # the support {0,1} admits zero-square solutions only over the closure

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from evolalg import cli
+from evolalg import analysis, cli
 from evolalg.exactla import Rat
 
 from conftest import COMPLETE2_ROWS, FIVE_ROWS, LATTICE5_ROWS, LOOPS2_ROWS, alg
@@ -275,14 +276,23 @@ class TestDeterminism:
             outputs.append(cli.report_to_json(cli.build_report(a, echo)))
         assert outputs[0] == outputs[1]
 
-    def test_report_independent_of_thread_count(self, tmp_path, monkeypatch):
-        path = write_algebra(tmp_path, FIVE_ROWS)
-        outputs = []
-        for workers in ("1", "4"):
-            monkeypatch.setenv("EVOLALG_THREADS", workers)
-            a, echo = cli.load_algebra(path)
-            outputs.append(cli.report_to_json(cli.build_report(a, echo)))
-        assert outputs[0] == outputs[1]
+
+class TestOneAnalysisPerReport:
+    def test_semiprime_visits_each_support_once(self, monkeypatch):
+        # COMPLETE2_ROWS is downward directed and not perfect, so prime and
+        # prime_ideals (quotient by the empty set) both ask for semiprime(A);
+        # labels no other test uses keep an earlier result out of the way
+        visits = Counter()
+        original = analysis._semiprime_support
+
+        def counting(A, gamma, *args):
+            visits[(A.labels, A.M, gamma)] += 1
+            return original(A, gamma, *args)
+
+        monkeypatch.setattr(analysis, "_semiprime_support", counting)
+        a = alg(COMPLETE2_ROWS, labels=("once1", "once2"))
+        cli.build_report(a, cli.render_algebra_file(a))
+        assert visits and max(visits.values()) == 1
 
 
 def test_module_entry_point_smoke(tmp_path):
