@@ -96,17 +96,15 @@ def is_zero_annihilator(A: EvolutionAlgebra) -> bool:
     return sinkless
 
 
-def _support_kernel(A: EvolutionAlgebra, gamma: Sequence[int]) -> Subspace:
-    """Kernel of the absolute-zero-divisor system restricted to a support.
-
-    For x supported on gamma the condition (x e_i) x = 0 for i in gamma
-    divides by x_i and becomes, coordinatewise, a linear system in the x_q.
-    """
+def _support_system(A: EvolutionAlgebra, gamma: Sequence[int], targets) -> Subspace:
+    """Coordinates on gamma of the x supported there with x * e_j^2 = 0 for
+    every target j: the kernel of the rows M[q][j] * M[m][q] over q in gamma,
+    one row per (j, m) in that order, all-zero rows dropped."""
     n = A.n
     rows = []
-    for i in gamma:
+    for j in targets:
         for m in range(n):
-            row = [A.M.at(q, i) * A.M.at(m, q) for q in gamma]
+            row = [A.M.at(q, j) * A.M.at(m, q) for q in gamma]
             if any(row):
                 rows.append(row)
     if not rows:
@@ -122,20 +120,24 @@ def _embed(n: int, gamma: Sequence[int], compact: Sequence[Rat]) -> Vec:
 
 
 def _support_witnesses(A: EvolutionAlgebra):
-    """Yields the witnesses of ``degeneracy_witnesses`` in support order."""
+    """Yields the witnesses of ``degeneracy_witnesses`` in support order.
+
+    For x supported on gamma, (x e_i) x = x_i (e_i^2 x) for i in gamma, so
+    dividing by x_i leaves the linear system x * e_i^2 = 0 on gamma.
+    """
     for gamma in iter_supports(A.n):
-        kern = _support_kernel(A, gamma)
+        kern = _support_system(A, gamma, gamma)
         if kern.dim:
             yield _embed(A.n, gamma, kern.basis.row(0))
 
 
-def degeneracy_witnesses(
-    A: EvolutionAlgebra, support_bound: int = DEFAULT_SUPPORT_BOUND
-) -> list[Vec]:
+def degeneracy_witnesses(A: EvolutionAlgebra) -> list[Vec]:
     """One canonical absolute zero divisor per support whose system has
     nontrivial kernel (the first kernel basis vector)."""
-    if A.n > support_bound:
-        raise EngineLimitError(f"support bound exceeded: n={A.n} > {support_bound}")
+    if A.n > DEFAULT_SUPPORT_BOUND:
+        raise EngineLimitError(
+            f"support bound exceeded: n={A.n} > {DEFAULT_SUPPORT_BOUND}"
+        )
     return list(_support_witnesses(A))
 
 
@@ -226,17 +228,7 @@ def _semiprime_support(
             if not sq_product_zero(j, k):
                 return _SupportOutcome("clean")
     # (b) x * e_j^2 = 0 for j in R, linear in the coordinates of x on gamma
-    rows = []
-    for j in R:
-        for m in range(n):
-            row = [A.M.at(i, j) * A.M.at(m, i) for i in gamma]
-            if any(row):
-                rows.append(row)
-    k1 = (
-        Subspace.full(len(gamma))
-        if not rows
-        else kernel_basis(Mat.from_rows(rows, cols=len(gamma)))
-    )
+    k1 = _support_system(A, gamma, R)
     if k1.dim == 0:
         return _SupportOutcome("clean")
     # (c) x^2 = 0 seen as a linear condition on the squares x_i^2: if the
@@ -403,7 +395,6 @@ def prime_ideals(
     *,
     support_bound: int = DEFAULT_SUPPORT_BOUND,
     height_cap: int = DEFAULT_HEIGHT_CAP,
-    hereditary_bound: int = graphmod.DEFAULT_HEREDITARY_BOUND,
 ) -> PrimeIdealsResult:
     """All prime ideals, as basic ideals on hereditary sets.
 
@@ -416,7 +407,7 @@ def prime_ideals(
     primes: list[BasicIdeal] = []
     undetermined: list[frozenset[int]] = []
     rejected: list[tuple[frozenset[int], str]] = []
-    for h in graphmod.hereditary_subsets(g, bound=hereditary_bound):
+    for h in graphmod.hereditary_subsets(g):
         if len(h) == A.n:
             continue  # the whole algebra is not a proper ideal
         if not graphmod.is_downward_directed(graphmod.quotient(g, h)):
@@ -495,7 +486,7 @@ class CentroidBasis:
 
 
 @lru_cache(maxsize=1)
-def centroid(A: EvolutionAlgebra, *, unknown_bound: int = DEFAULT_CENTROID_BOUND) -> CentroidBasis:
+def centroid(A: EvolutionAlgebra) -> CentroidBasis:
     """Kernel basis of the centralizer equations in the n^2 unknowns t_ij.
 
     A linear map commutes with all multiplications iff t_ij e_i^2 = 0 for all
@@ -507,8 +498,10 @@ def centroid(A: EvolutionAlgebra, *, unknown_bound: int = DEFAULT_CENTROID_BOUND
     a connected algebra, which is the algebra itself.
     """
     n = A.n
-    if n * n > unknown_bound:
-        raise EngineLimitError(f"centroid bound exceeded: {n * n} unknowns > {unknown_bound}")
+    if n * n > DEFAULT_CENTROID_BOUND:
+        raise EngineLimitError(
+            f"centroid bound exceeded: {n * n} unknowns > {DEFAULT_CENTROID_BOUND}"
+        )
     col_nonzero = [any(A.M.at(k, i) != 0 for k in range(n)) for i in range(n)]
     unknowns = [
         (i, j)

@@ -14,8 +14,8 @@ basis vector i).  Entries are integers or exact fraction strings like
 ``"-2/3"``; floats are rejected to keep everything exact.
 
 Commands: analyze, graph, prime-ideals, centroid, decompose, series, element,
-random.  Exit codes: 0 all verdicts determined, 1 input error, 2 at least one
-undetermined verdict or engine limit (verdicts are still emitted).
+random.  Exit codes: 0 all verdicts determined, 1 input or usage error, 2 at
+least one undetermined verdict or engine limit (verdicts are still emitted).
 """
 
 from __future__ import annotations
@@ -94,10 +94,7 @@ def parse_algebra_text(text: str, source: str = "<input>") -> tuple[EvolutionAlg
     if description is not None and not isinstance(description, str):
         raise AlgebraFileError(f"{source}: 'description' must be a string")
     algebra = EvolutionAlgebra(tuple(basis), Mat.from_rows(rows, cols=n))
-    echo = {"basis": list(basis), "matrix": _matrix_json(algebra.M)}
-    if description is not None:
-        echo["description"] = description
-    return algebra, echo
+    return algebra, render_algebra_file(algebra, description)
 
 
 def load_algebra(path: str) -> tuple[EvolutionAlgebra, dict]:
@@ -191,6 +188,10 @@ def _prime_ideals_json(A: EvolutionAlgebra, res: analysis.PrimeIdealsResult) -> 
     }
 
 
+def _centroid_json(cb: analysis.CentroidBasis) -> dict:
+    return {"dim": cb.dim, "basis": [_matrix_json(t) for t in cb.basis_mats]}
+
+
 def _verdict_json(v: Verdict3) -> dict:
     return {"state": v.state, "certificate": v.certificate, "witness": _witness_json(v.witness)}
 
@@ -243,11 +244,7 @@ def build_report(
     series, _ = A.ann_series()
 
     try:
-        cb = analysis.centroid(A)
-        centroid_json = {
-            "dim": cb.dim,
-            "basis": [_matrix_json(t) for t in cb.basis_mats],
-        }
+        centroid_json = _centroid_json(analysis.centroid(A))
         centroid_undetermined = False
     except EngineLimitError as exc:
         limits.append(str(exc))
@@ -261,12 +258,7 @@ def build_report(
     if zero_ann:
         try:
             summands = analysis.decompose(A)
-            decomposition = {
-                "summands": [
-                    {"basis": list(s.labels), "matrix": _matrix_json(s.M)}
-                    for s in summands
-                ]
-            }
+            decomposition = {"summands": [render_algebra_file(s) for s in summands]}
         except EngineLimitError as exc:
             limits.append(str(exc))
             decomposition = {"summands": None, "note": f"engine-limit: {exc}"}
@@ -315,7 +307,8 @@ def build_report(
     }
 
 
-def report_to_json(report: dict) -> str:
+def report_to_json(report) -> str:
+    """Canonical JSON text of a report or any command payload."""
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
@@ -391,23 +384,38 @@ def _add_json_flag(sp):
     sp.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _add_engine_flags(sp):
     sp.add_argument(
         "--support-bound",
-        type=int,
+        type=_non_negative_int,
         default=analysis.DEFAULT_SUPPORT_BOUND,
         help="max dimension for support enumeration engines",
     )
     sp.add_argument(
         "--height-cap",
-        type=int,
+        type=_non_negative_int,
         default=analysis.DEFAULT_HEIGHT_CAP,
         help="max height for the rational witness search",
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like other input errors; exit 2 means undetermined."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evolalg",
         description="Exact structural analysis of finite-dimensional evolution algebras over Q.",
     )
@@ -483,16 +491,10 @@ def _cmd_graph(args) -> int:
 
 def _cmd_prime_ideals(args) -> int:
     A, _ = load_algebra(args.file)
-    try:
-        res = analysis.prime_ideals(
-            A, support_bound=args.support_bound, height_cap=args.height_cap
-        )
-    except EngineLimitError as exc:
-        sys.stderr.write(f"engine limit: {exc}\n")
-        return 2
+    res = analysis.prime_ideals(A, support_bound=args.support_bound, height_cap=args.height_cap)
     payload = _prime_ideals_json(A, res)
     if args.json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(report_to_json(payload))
     else:
         for p in payload["primes"]:
             sys.stdout.write("prime ideal on {" + ", ".join(p["vertices"]) + "}\n")
@@ -507,8 +509,7 @@ def _cmd_centroid(args) -> int:
     A, _ = load_algebra(args.file)
     cb = analysis.centroid(A)
     if args.json:
-        payload = {"dim": cb.dim, "basis": [_matrix_json(t) for t in cb.basis_mats]}
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(report_to_json(_centroid_json(cb)))
     else:
         sys.stdout.write(f"centroid dimension {cb.dim}\n")
         for t in cb.basis_mats:
@@ -526,10 +527,7 @@ def _cmd_decompose(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     if args.json:
-        payload = [
-            {"basis": list(s.labels), "matrix": _matrix_json(s.M)} for s in summands
-        ]
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(report_to_json([render_algebra_file(s) for s in summands]))
     else:
         sys.stdout.write(f"{len(summands)} indecomposable summand(s)\n")
         for s in summands:
@@ -550,7 +548,7 @@ def _cmd_series(args) -> int:
         "radical": _subspace_json(radical),
     }
     if args.json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(report_to_json(payload))
     else:
         sys.stdout.write(f"asi = {asi}\n")
         for level, s in enumerate(payload["series"], start=1):
@@ -588,7 +586,7 @@ def _cmd_element(args) -> int:
             else "von Neumann inverse: (" + ", ".join(_vec_json(y)) + ")\n"
         )
     if args.json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(report_to_json(payload))
     else:
         sys.stdout.write(text)
     return 0
@@ -600,10 +598,14 @@ def _cmd_random(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = report_to_json(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: {args.out}: {exc.strerror or exc}\n")
+            return 1
     else:
         sys.stdout.write(text)
     return 0

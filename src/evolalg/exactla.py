@@ -41,14 +41,6 @@ def vec_is_zero(v: Sequence[Rat]) -> bool:
     return all(x == 0 for x in v)
 
 
-def vec_add(u: Sequence[Rat], v: Sequence[Rat]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Rat, v: Sequence[Rat]) -> Vec:
-    return tuple(c * x for x in v)
-
-
 @dataclass(frozen=True)
 class Mat:
     """Dense rational matrix, row-major entries."""

@@ -89,15 +89,17 @@ def is_hereditary(g: DiGraph, s: Iterable[int]) -> bool:
     return reach(g, s) == s
 
 
-def hereditary_subsets(g: DiGraph, bound: int = DEFAULT_HEREDITARY_BOUND) -> list[frozenset[int]]:
+def hereditary_subsets(g: DiGraph) -> list[frozenset[int]]:
     """All hereditary vertex sets, ascending by size then lexicographic.
 
     Enumerates the union lattice generated by single-vertex closures; every
     hereditary set is the union of the closures of its members.  The output
     can be exponential in n, hence the hard bound.
     """
-    if g.n > bound:
-        raise EngineLimitError(f"hereditary enumeration bound exceeded: n={g.n} > {bound}")
+    if g.n > DEFAULT_HEREDITARY_BOUND:
+        raise EngineLimitError(
+            f"hereditary enumeration bound exceeded: n={g.n} > {DEFAULT_HEREDITARY_BOUND}"
+        )
     closures = sorted({reach(g, (v,)) for v in range(g.n)}, key=lambda s: (len(s), sorted(s)))
     found = {frozenset()}
     frontier = [frozenset()]
@@ -193,14 +195,16 @@ def is_isolated_loops(g: DiGraph) -> bool:
 
 
 def to_dot(g: DiGraph, labels: Sequence[str] | None = None) -> str:
+    """DOT text; labels are quoted DOT IDs, with backslashes and quotes escaped."""
     if labels is None:
         labels = [f"v{i}" for i in range(g.n)]
     if len(labels) != g.n:
         raise ValueError("label count does not match vertex count")
+    ids = ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in labels]
     lines = ["digraph E {"]
     for i in range(g.n):
-        lines.append(f'  "{labels[i]}";')
+        lines.append(f"  {ids[i]};")
     for i, j in sorted(g.edges()):
-        lines.append(f'  "{labels[i]}" -> "{labels[j]}";')
+        lines.append(f"  {ids[i]} -> {ids[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ instead of hanging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EngineLimitError
@@ -246,11 +246,8 @@ class MPoly:
 class PolyIdeal:
     nvars: int
     generators: tuple[MPoly, ...]
-    order: str = field(default="grevlex")
 
     def __post_init__(self):
-        if self.order != "grevlex":
-            raise ValueError("only the grevlex order is supported")
         for g in self.generators:
             if g.nvars != self.nvars:
                 raise ValueError("generator variable count mismatch")
@@ -310,12 +307,7 @@ def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
     return left - right
 
 
-def groebner(
-    ideal: PolyIdeal,
-    *,
-    var_bound: int = DEFAULT_VAR_BOUND,
-    reduction_cap: int = DEFAULT_REDUCTION_CAP,
-) -> PolyIdeal:
+def groebner(ideal: PolyIdeal, *, var_bound: int = DEFAULT_VAR_BOUND) -> PolyIdeal:
     """Reduced grevlex Groebner basis via Buchberger with pair pruning."""
     if ideal.nvars > var_bound:
         raise EngineLimitError(
@@ -340,9 +332,9 @@ def groebner(
         if lcm == _monom_mul(lms[i], lms[j]):
             continue  # coprime leading monomials reduce to zero
         reductions += 1
-        if reductions > reduction_cap:
+        if reductions > DEFAULT_REDUCTION_CAP:
             raise EngineLimitError(
-                f"S-pair reduction cap exceeded ({reduction_cap})"
+                f"S-pair reduction cap exceeded ({DEFAULT_REDUCTION_CAP})"
             )
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
@@ -373,13 +365,7 @@ def is_unit_ideal(basis: PolyIdeal) -> bool:
     return any(g.total_degree() == 0 for g in basis.generators)
 
 
-def in_radical(
-    p: MPoly,
-    ideal: PolyIdeal,
-    *,
-    var_bound: int = DEFAULT_VAR_BOUND,
-    reduction_cap: int = DEFAULT_REDUCTION_CAP,
-) -> bool:
+def in_radical(p: MPoly, ideal: PolyIdeal) -> bool:
     """Radical membership: adjoin z and test whether 1 - z*p makes the ideal trivial."""
     if p.is_zero():
         return True
@@ -387,9 +373,7 @@ def in_radical(
     gens = [g.extend(n + 1) for g in ideal.generators]
     z = MPoly.variable(n + 1, n)
     gens.append(MPoly.const(n + 1, 1) - z * p.extend(n + 1))
-    basis = groebner(
-        PolyIdeal.of(n + 1, gens), var_bound=var_bound + 1, reduction_cap=reduction_cap
-    )
+    basis = groebner(PolyIdeal.of(n + 1, gens), var_bound=DEFAULT_VAR_BOUND + 1)
     return is_unit_ideal(basis)
 
 
@@ -404,13 +388,7 @@ def _only_origin_homogeneous(basis: PolyIdeal) -> bool:
     return True
 
 
-def variety_is_only_origin(
-    ideal: PolyIdeal,
-    *,
-    var_bound: int = DEFAULT_VAR_BOUND,
-    reduction_cap: int = DEFAULT_REDUCTION_CAP,
-    method: str = "auto",
-) -> bool:
+def variety_is_only_origin(ideal: PolyIdeal) -> bool:
     """Decide whether the common zero locus over the algebraic closure is {0}.
 
     Equivalently, every variable lies in the radical of the ideal.  For
@@ -421,24 +399,11 @@ def variety_is_only_origin(
         return True
     if not ideal.generators:
         return False
-    if method not in ("auto", "radical", "finiteness"):
-        raise ValueError(f"unknown method {method!r}")
-    homogeneous = all(g.is_homogeneous() for g in ideal.generators)
-    if method == "finiteness" and not homogeneous:
-        raise ValueError("finiteness method requires homogeneous generators")
-    if homogeneous and method != "radical":
-        basis = groebner(ideal, var_bound=var_bound, reduction_cap=reduction_cap)
-        if is_unit_ideal(basis):
-            return True
-        return _only_origin_homogeneous(basis)
+    if all(g.is_homogeneous() for g in ideal.generators):
+        basis = groebner(ideal)
+        return is_unit_ideal(basis) or _only_origin_homogeneous(basis)
     return all(
-        in_radical(
-            MPoly.variable(ideal.nvars, i),
-            ideal,
-            var_bound=var_bound,
-            reduction_cap=reduction_cap,
-        )
-        for i in range(ideal.nvars)
+        in_radical(MPoly.variable(ideal.nvars, i), ideal) for i in range(ideal.nvars)
     )
 
 

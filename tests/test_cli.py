@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,8 @@ from evolalg.exactla import Rat
 from conftest import COMPLETE2_ROWS, FIVE_ROWS, LATTICE5_ROWS, LOOPS2_ROWS, alg
 
 rationals = st.builds(Rat, st.integers(-6, 6), st.integers(1, 4))
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def write_algebra(tmp_path, rows, name="a.json", labels=None, description=None):
@@ -266,6 +270,58 @@ class TestOtherCommands:
     def test_random_range_error(self, capsys):
         assert cli.main(["random", "--dim", "0", "--density", "0.5", "--seed", "1"]) == 1
 
+    def test_random_unwritable_out(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        args = ["random", "--dim", "2", "--density", "0.5", "--seed", "1", "--out", str(target)]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {target}: No such file or directory\n"
+        assert captured.out == ""
+
+
+class TestUsageErrors:
+    """Usage errors exit 1 like other input errors; 2 means undetermined."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", str(DATA / "complete_pair.json"), "--engine", "nope"],
+            ["analyze"],
+            ["analyze", str(DATA / "complete_pair.json"), "--support-bound", "-1"],
+            ["analyze", str(DATA / "complete_pair.json"), "--height-cap", "-3"],
+            ["prime-ideals", str(DATA / "complete_pair.json"), "--support-bound", "-1"],
+            [],
+        ],
+    )
+    def test_exit_one(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
+    def test_zero_bounds_are_accepted(self, capsys):
+        path = str(DATA / "complete_pair.json")
+        assert cli.main(["analyze", path, "--support-bound", "0", "--height-cap", "0"]) == 2
+        assert "support bound exceeded: n=2 > 0" in capsys.readouterr().out
+
+    def test_help_exits_zero(self, capsys):
+        for args in (["--help"], ["analyze", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(args)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: evolalg")
+
+    def test_process_exit_code(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "evolalg", "analyze", str(DATA / "complete_pair.json"),
+             "--engine", "nope"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "invalid choice: 'nope'" in proc.stderr
+
 
 class TestDeterminism:
     def test_reports_are_byte_identical(self, tmp_path):
@@ -275,6 +331,24 @@ class TestDeterminism:
             a, echo = cli.load_algebra(path)
             outputs.append(cli.report_to_json(cli.build_report(a, echo)))
         assert outputs[0] == outputs[1]
+
+
+class TestDataReports:
+    # sha256 of `evolalg analyze FILE --json` on the sample files: a change to
+    # any verdict, witness, certificate or formatting shows up here
+    DIGESTS = {
+        "complete_pair": "51bb424853fcad8ccdf602bbc129ab5418214a9995741f39ca6600e2aeb6b992",
+        "five_vertex_lattice": "48136d583fcff1040482184b902e1683abafea5334b8e1da58ca5f86c93c4cd7",
+        "isolated_loops": "66c0c35a3b2b80b61679993751cb67e8cac0a61fa4d5cbd1b3810fd643e76032",
+        "sink_cascade": "2cc307b00ffce57087df29952d16b5c60c87f08b9c0d2ae6fa310e08ef307e13",
+        "unique_zero_square": "38efd92daad979ad5c05c24bc2b801dde5ae672c0175abf10130858082e65519",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_analyze_json_bytes(self, name, capsys):
+        assert cli.main(["analyze", str(DATA / f"{name}.json"), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name]
 
 
 class TestOneAnalysisPerReport:

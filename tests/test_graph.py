@@ -119,8 +119,11 @@ class TestHereditary:
         assert len(G.hereditary_subsets(G.DiGraph.from_edges(2, ()))) == 4
 
     def test_bound(self):
-        with pytest.raises(EngineLimitError):
-            G.hereditary_subsets(G.DiGraph.from_edges(5, ()), bound=4)
+        # an edgeless graph has 2^n hereditary sets; 21 vertices is one past the bound
+        with pytest.raises(
+            EngineLimitError, match=r"^hereditary enumeration bound exceeded: n=21 > 20$"
+        ):
+            G.hereditary_subsets(G.DiGraph.from_edges(21, ()))
 
     @given(digraphs())
     @settings(max_examples=60)
@@ -240,6 +243,11 @@ class TestDot:
     def test_single_loop(self):
         out = G.to_dot(G.DiGraph.from_edges(1, [(0, 0)]), ["a"])
         assert '"a" -> "a";' in out
+
+    def test_labels_are_escaped(self):
+        out = G.to_dot(G.DiGraph.from_edges(3, [(0, 1)]), ['a"b', "c", "d\\"])
+        assert '  "a\\"b" -> "c";' in out.splitlines()
+        assert '  "d\\\\";' in out.splitlines()
 
     def test_empty_graph(self):
         out = G.to_dot(G.DiGraph.from_edges(0, ()), [])

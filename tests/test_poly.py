@@ -2,7 +2,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from evolalg import analysis
+from evolalg import analysis, poly
 from evolalg.errors import EngineLimitError
 from evolalg.exactla import Rat
 from evolalg.poly import (
@@ -168,12 +168,13 @@ class TestGroebner:
         with pytest.raises(EngineLimitError):
             groebner(PolyIdeal.of(9, gens))
 
-    def test_reduction_cap_reported(self):
+    def test_reduction_cap_reported(self, monkeypatch):
         # cyclic-3 needs a few honest S-pair reductions
+        monkeypatch.setattr(poly, "DEFAULT_REDUCTION_CAP", 1)
         x, y, z = (MPoly.variable(3, i) for i in range(3))
         gens = [x + y + z, x * y + y * z + z * x, x * y * z - MPoly.const(3, 1)]
-        with pytest.raises(EngineLimitError):
-            groebner(PolyIdeal.of(3, gens), reduction_cap=1)
+        with pytest.raises(EngineLimitError, match=r"^S-pair reduction cap exceeded \(1\)$"):
+            groebner(PolyIdeal.of(3, gens))
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
@@ -242,6 +243,14 @@ class TestVarietyOrigin:
         y = MPoly.variable(2, 1)
         assert not variety_is_only_origin(PolyIdeal.of(2, [x - y]))
 
+    def test_non_homogeneous_ideals_take_the_radical_route(self):
+        x = MPoly.variable(2, 0)
+        y = MPoly.variable(2, 1)
+        # x^2 = y and y^2 = 0 force y = 0, then x = 0
+        assert variety_is_only_origin(PolyIdeal.of(2, [x * x - y, y * y]))
+        # x = y^2 is a parabola through the origin
+        assert not variety_is_only_origin(PolyIdeal.of(2, [x - y * y]))
+
     def test_radical_membership_on_deg4(self):
         ideal = n2_ideal(alg(DEG4_ROWS))
         for i in range(3):
@@ -262,6 +271,6 @@ class TestVarietyOrigin:
         if not gens:
             return
         ideal = PolyIdeal.of(nvars, gens)
-        fast = variety_is_only_origin(ideal, method="finiteness")
-        slow = variety_is_only_origin(ideal, method="radical")
+        fast = variety_is_only_origin(ideal)
+        slow = all(in_radical(MPoly.variable(nvars, i), ideal) for i in range(nvars))
         assert fast == slow
