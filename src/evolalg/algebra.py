@@ -56,8 +56,16 @@ class EvolutionAlgebra:
     def n(self) -> int:
         return self.M.rows
 
+    def _held(self, key, compute):
+        """A derived fact, computed on first use and held in the instance
+        ``__dict__`` (outside equality and hashing), so reuse goes by identity."""
+        held = self.__dict__.setdefault("_held_facts", {})
+        if key not in held:
+            held[key] = compute()
+        return held[key]
+
     def graph(self) -> graphmod.DiGraph:
-        return graphmod.from_matrix(self.M)
+        return self._held("graph", lambda: graphmod.from_matrix(self.M))
 
     def element(self, coords: Iterable) -> Vec:
         x = vec(coords)
@@ -101,7 +109,7 @@ class EvolutionAlgebra:
         return Subspace.axes(self.n, dead)
 
     def is_perfect(self) -> bool:
-        return det(self.M) != 0
+        return self._held("perfect", lambda: det(self.M) != 0)
 
     def ideal_generated_by(self, x: Sequence[Rat]) -> Subspace:
         """Smallest ideal containing x.
@@ -137,9 +145,13 @@ class EvolutionAlgebra:
         """Quotient modulo the basic ideal on a hereditary set.
 
         The structure matrix of the quotient is M with the rows and columns of
-        the removed vertices deleted; surviving labels are kept.
+        the removed vertices deleted; surviving labels are kept.  The quotient
+        by the empty set is the algebra itself, and ``self`` is returned, so
+        its held facts are reused.
         """
         h = self.check_hereditary(vertices)
+        if not h:
+            return self
         keep = [i for i in range(self.n) if i not in h]
         return EvolutionAlgebra(
             tuple(self.labels[i] for i in keep), self.M.submatrix(keep, keep)
@@ -151,18 +163,20 @@ class EvolutionAlgebra:
         Level 1 is the annihilator; each next level lifts the annihilator of
         the quotient by the previous level.  Every level is the span of a
         hereditary set of basis vertices, so the series is computed on vertex
-        sets.  Returns the strictly increasing chain up to the stable term.
+        sets: the next level is {i : M[j][i] = 0 for all j outside the current
+        level}.  Returns the strictly increasing chain up to the stable term.
         """
+        series = self._held("ann_series", self._ann_series)
+        return list(series), len(series)
+
+    def _ann_series(self) -> tuple[Subspace, ...]:
         levels: list[frozenset[int]] = []
         current: frozenset[int] = frozenset()
         while True:
-            quot = self.quotient_by_basic(current)
-            keep = [i for i in range(self.n) if i not in current]
-            new = {keep[k] for k in range(quot.n)
-                   if all(quot.M.at(j, k) == 0 for j in range(quot.n))}
-            nxt = current | new
-            if levels and nxt == levels[-1]:
-                break
+            outside = [j for j in range(self.n) if j not in current]
+            nxt = frozenset(i for i in range(self.n)
+                            if all(self.M.at(j, i) == 0 for j in outside))
+            if levels and nxt == current:
+                return tuple(Subspace.axes(self.n, s) for s in levels)
             levels.append(nxt)
             current = nxt
-        return [Subspace.axes(self.n, s) for s in levels], len(levels)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -292,7 +291,6 @@ def _semiprime_support(
     return _SupportOutcome("undetermined")
 
 
-@lru_cache(maxsize=1)
 def semiprime(
     A: EvolutionAlgebra,
     *,
@@ -306,13 +304,17 @@ def semiprime(
     solve the linear conditions against the reachable squares plus the single
     quadratic condition x^2 = 0.
 
-    The last result is cached: a report asks again through ``prime`` and
-    through ``prime_ideals`` (the quotient by the empty hereditary set is the
-    algebra itself).
+    The verdict is held on A per height cap: a report asks again through
+    ``prime`` and through ``prime_ideals`` (the quotient by the empty
+    hereditary set is A itself).
     """
+    if A.n > support_bound:
+        raise EngineLimitError(f"support bound exceeded: n={A.n} > {support_bound}")
+    return A._held(("semiprime", height_cap), lambda: _semiprime(A, height_cap))
+
+
+def _semiprime(A: EvolutionAlgebra, height_cap: int) -> Verdict3:
     n = A.n
-    if n > support_bound:
-        raise EngineLimitError(f"support bound exceeded: n={n} > {support_bound}")
     g = A.graph()
     reach_sets = [graphmod.reach(g, (v,)) for v in range(n)]
     squares = [A.basis_square(i) for i in range(n)]
@@ -485,7 +487,6 @@ class CentroidBasis:
     basis_mats: tuple[Mat, ...]
 
 
-@lru_cache(maxsize=1)
 def centroid(A: EvolutionAlgebra) -> CentroidBasis:
     """Kernel basis of the centralizer equations in the n^2 unknowns t_ij.
 
@@ -494,14 +495,18 @@ def centroid(A: EvolutionAlgebra) -> CentroidBasis:
     column of M is nonzero are forced to zero and eliminated up front; the
     remaining homogeneous system is solved exactly.
 
-    The last result is cached: ``decompose`` asks again for the one summand of
-    a connected algebra, which is the algebra itself.
+    The basis is held on A: ``decompose`` asks again for the one summand of a
+    connected algebra, which is A itself.
     """
-    n = A.n
-    if n * n > DEFAULT_CENTROID_BOUND:
+    if A.n * A.n > DEFAULT_CENTROID_BOUND:
         raise EngineLimitError(
-            f"centroid bound exceeded: {n * n} unknowns > {DEFAULT_CENTROID_BOUND}"
+            f"centroid bound exceeded: {A.n * A.n} unknowns > {DEFAULT_CENTROID_BOUND}"
         )
+    return A._held("centroid", lambda: _centroid(A))
+
+
+def _centroid(A: EvolutionAlgebra) -> CentroidBasis:
+    n = A.n
     col_nonzero = [any(A.M.at(k, i) != 0 for k in range(n)) for i in range(n)]
     unknowns = [
         (i, j)
@@ -562,7 +567,8 @@ def decompose(A: EvolutionAlgebra) -> list[EvolutionAlgebra]:
 
     One summand per connected component of the graph; entries of M never link
     distinct components, and every summand must come back with a
-    one-dimensional centroid.
+    one-dimensional centroid.  Each summand is the quotient by the other
+    components, so a connected algebra gives ``[A]`` and its held centroid.
     """
     if not is_zero_annihilator(A):
         raise ValueError("decomposition requires a zero-annihilator algebra")
@@ -574,10 +580,7 @@ def decompose(A: EvolutionAlgebra) -> list[EvolutionAlgebra]:
             for j in range(A.n):
                 if j not in inside and (A.M.at(j, i) != 0 or A.M.at(i, j) != 0):
                     raise RuntimeError("internal error: component blocks are not exact")
-        sub = EvolutionAlgebra(
-            tuple(A.labels[i] for i in block), A.M.submatrix(block, block)
-        )
-        summands.append(sub)
+        summands.append(A.quotient_by_basic(set(range(A.n)) - inside))
     for sub in summands:
         if centroid(sub).dim != 1:
             raise RuntimeError("internal error: summand centroid is not one-dimensional")

@@ -209,7 +209,6 @@ def build_report(
     height_cap: int = analysis.DEFAULT_HEIGHT_CAP,
 ) -> dict:
     """Run every engine and collect the machine-readable report."""
-    g = A.graph()
     limits: list[str] = []
 
     def run_verdict(fn) -> Verdict3:
@@ -251,7 +250,7 @@ def build_report(
         centroid_json = {"error": f"engine-limit: {exc}"}
         centroid_undetermined = True
 
-    comps = [[A.labels[i] for i in block] for block in graphmod.components(g)]
+    comps = [[A.labels[i] for i in block] for block in graphmod.components(A.graph())]
 
     zero_ann = analysis.is_zero_annihilator(A)
     decomposition_undetermined = False
@@ -566,7 +565,7 @@ def _cmd_element(args) -> int:
     try:
         coords = [rat(part.strip()) for part in args.coords.split(",")]
         x = A.element(coords)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: bad coordinates: {exc}\n")
         return 1
     if args.check == "azd":

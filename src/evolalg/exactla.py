@@ -296,29 +296,6 @@ class Subspace:
                 w = [a - f * b for a, b in zip(w, row)]
         return vec_is_zero(w)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace.span(self.basis_vectors() + other.basis_vectors(), self.ambient_dim)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: rref of [[A|A],[B|0]]; rows with zero left half span A∩B."""
-        self._check_ambient(other)
-        n = self.ambient_dim
-        rows = []
-        for v in self.basis_vectors():
-            rows.append(list(v) + list(v))
-        for v in other.basis_vectors():
-            rows.append(list(v) + [ZERO] * n)
-        if not rows:
-            return Subspace.zero(n)
-        reduced = rref(Mat.from_rows(rows, cols=2 * n))
-        out = []
-        for i in range(reduced.rows):
-            row = reduced.row(i)
-            if vec_is_zero(row[:n]) and not vec_is_zero(row[n:]):
-                out.append(row[n:])
-        return Subspace.span(out, n)
-
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         return all(self.member(v) for v in other.basis_vectors())

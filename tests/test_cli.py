@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from evolalg import analysis, cli
+from evolalg import analysis, cli, graph as graphmod
 from evolalg.exactla import Rat
 
-from conftest import COMPLETE2_ROWS, FIVE_ROWS, LATTICE5_ROWS, LOOPS2_ROWS, alg
+from conftest import (
+    CASCADE8_ROWS, COMPLETE2_ROWS, FIVE_ROWS, LATTICE5_ROWS, LOOPS2_ROWS, alg,
+)
 
 rationals = st.builds(Rat, st.integers(-6, 6), st.integers(1, 4))
 
@@ -258,7 +260,9 @@ class TestOtherCommands:
 
     def test_element_bad_coords(self, tmp_path, capsys):
         path = write_algebra(tmp_path, COMPLETE2_ROWS)
-        assert cli.main(["element", path, "--coords", "1,oops", "--check", "azd"]) == 1
+        for coords in ("1,oops", "1/0,1"):
+            assert cli.main(["element", path, "--coords", coords, "--check", "azd"]) == 1
+            assert capsys.readouterr().err.startswith("error: bad coordinates: ")
 
     def test_random_command_roundtrip(self, tmp_path, capsys):
         out_path = tmp_path / "r.json"
@@ -354,8 +358,7 @@ class TestDataReports:
 class TestOneAnalysisPerReport:
     def test_semiprime_visits_each_support_once(self, monkeypatch):
         # COMPLETE2_ROWS is downward directed and not perfect, so prime and
-        # prime_ideals (quotient by the empty set) both ask for semiprime(A);
-        # labels no other test uses keep an earlier result out of the way
+        # prime_ideals (quotient by the empty set) both ask for semiprime(A)
         visits = Counter()
         original = analysis._semiprime_support
 
@@ -364,9 +367,57 @@ class TestOneAnalysisPerReport:
             return original(A, gamma, *args)
 
         monkeypatch.setattr(analysis, "_semiprime_support", counting)
-        a = alg(COMPLETE2_ROWS, labels=("once1", "once2"))
+        a = alg(COMPLETE2_ROWS)
         cli.build_report(a, cli.render_algebra_file(a))
         assert visits and max(visits.values()) == 1
+
+    @pytest.mark.parametrize(
+        "rows", [COMPLETE2_ROWS, FIVE_ROWS, LATTICE5_ROWS, LOOPS2_ROWS, CASCADE8_ROWS]
+    )
+    def test_one_graph_per_algebra_object(self, rows, monkeypatch):
+        # the matrices are kept alive, so equal ids mean the same algebra
+        built = []
+        original = graphmod.from_matrix
+
+        def counting(m):
+            built.append(m)
+            return original(m)
+
+        monkeypatch.setattr(graphmod, "from_matrix", counting)
+        a = alg(rows)
+        cli.build_report(a, cli.render_algebra_file(a))
+        assert built and len({id(m) for m in built}) == len(built)
+
+    def test_connected_algebra_computes_its_centroid_once(self, monkeypatch):
+        calls = []
+        original = analysis._centroid
+        monkeypatch.setattr(analysis, "_centroid", lambda A: calls.append(A) or original(A))
+        a = alg(COMPLETE2_ROWS)
+        report = cli.build_report(a, cli.render_algebra_file(a))
+        assert report["verdicts"]["decomposition"]["summands"] == [cli.render_algebra_file(a)]
+        assert calls == [a] and calls[0] is a
+
+    def test_empty_quotient_reuses_semiprime(self, monkeypatch):
+        calls = []
+        original = analysis._semiprime
+        monkeypatch.setattr(
+            analysis, "_semiprime", lambda A, cap: calls.append(A) or original(A, cap)
+        )
+        a = alg(COMPLETE2_ROWS)
+        assert a.quotient_by_basic(()) is a
+        verdict = analysis.semiprime(a)
+        assert analysis.prime(a).witness == verdict.witness
+        analysis.prime_ideals(a)
+        assert len(calls) == 1 and calls[0] is a
+
+    @pytest.mark.parametrize(
+        "order", [(0, analysis.DEFAULT_HEIGHT_CAP), (analysis.DEFAULT_HEIGHT_CAP, 0)]
+    )
+    def test_semiprime_is_held_per_height_cap(self, order):
+        a = alg([[-2, -2, 1], [-2, -2, 1], [4, 4, -2]])
+        got = {cap: analysis.semiprime(a, height_cap=cap).state for cap in order}
+        assert got == {0: analysis.UNDETERMINED, analysis.DEFAULT_HEIGHT_CAP: analysis.NO}
+        assert analysis.semiprime(a).state == analysis.NO
 
 
 def test_module_entry_point_smoke(tmp_path):
