@@ -11,6 +11,16 @@ answer is always definite.  Semiprimeness is three-valued:
 * ``undetermined`` means some support admits a zero-square ideal over the
   closure but the bounded search found no rational point.  The reason is
   recorded in the certificate.
+
+Both scans visit only the supports that can hold the first witness.  Column i
+of M is e_i^2, so for x supported exactly on gamma, x * e_j^2 and x^2 are
+combinations of the columns of M on gamma.  When those columns are linearly
+independent, x^2 = 0 has no solution there, and x * e_j^2 = 0 for all j in
+gamma forces M[q][j] = 0 on gamma, so each of its singletons already holds a
+witness.  Semiprimeness therefore visits only the supports that are dependent
+in the column matroid of M, and degeneracy visits the singletons and then
+those supports.  A perfect algebra (M nonsingular) has no dependent support,
+so degeneracy checks its n singletons and semiprimeness checks nothing.
 """
 
 from __future__ import annotations
@@ -118,13 +128,41 @@ def _embed(n: int, gamma: Sequence[int], compact: Sequence[Rat]) -> Vec:
     return tuple(out)
 
 
-def _support_witnesses(A: EvolutionAlgebra):
-    """Yields the witnesses of ``degeneracy_witnesses`` in support order.
+def _dependent_supports(A: EvolutionAlgebra, *, with_singletons: bool = False):
+    """Supports on which the columns of M are linearly dependent, ascending by
+    size then lexicographically; with ``with_singletons`` every singleton comes
+    first, then the dependent supports of size two or more.
+
+    A support is dependent iff it contains a circuit of ``A.circuits()``, so
+    each size is built as the supersets of the circuits: an independent
+    support is never produced, and a perfect algebra has no circuits.
+    """
+    n = A.n
+    smallest = 1
+    if with_singletons:
+        yield from ((i,) for i in range(n))
+        smallest = 2
+    circuits = A.circuits()
+    for size in range(smallest, n + 1):
+        masks: set[int] = set()
+        for circuit in circuits:
+            extra = size - circuit.bit_count()
+            if extra < 0:
+                break
+            rest = [q for q in range(n) if not circuit >> q & 1]
+            for more in itertools.combinations(rest, extra):
+                masks.add(circuit | sum(1 << q for q in more))
+        yield from sorted(tuple(q for q in range(n) if mask >> q & 1) for mask in masks)
+
+
+def _support_witnesses(A: EvolutionAlgebra, supports):
+    """Yields one witness per support with a nontrivial kernel, in the order
+    of ``supports``.
 
     For x supported on gamma, (x e_i) x = x_i (e_i^2 x) for i in gamma, so
     dividing by x_i leaves the linear system x * e_i^2 = 0 on gamma.
     """
-    for gamma in iter_supports(A.n):
+    for gamma in supports:
         kern = _support_system(A, gamma, gamma)
         if kern.dim:
             yield _embed(A.n, gamma, kern.basis.row(0))
@@ -137,7 +175,7 @@ def degeneracy_witnesses(A: EvolutionAlgebra) -> list[Vec]:
         raise EngineLimitError(
             f"support bound exceeded: n={A.n} > {DEFAULT_SUPPORT_BOUND}"
         )
-    return list(_support_witnesses(A))
+    return list(_support_witnesses(A, iter_supports(A.n)))
 
 
 def degeneracy(
@@ -150,8 +188,15 @@ def degeneracy(
 
     The linear engine is complete over Q: per support the system is linear, so
     a nontrivial kernel yields a rational witness and empty kernels everywhere
-    are conclusive.  The groebner engine decides the same question from the
-    symbolic square of the left-multiplication matrix.
+    are conclusive.  The first support with a nontrivial kernel holds only
+    full-support solutions (a solution on a smaller support solves that
+    support's own system, which comes earlier), so it is a singleton or its
+    columns of M are dependent: on independent columns, x * e_j^2 = 0 for j
+    in gamma forces M[q][j] = 0 on gamma, and then every singleton of gamma
+    is a witness.  The scan visits just those supports
+    (``degeneracy_witnesses`` visits all of them).  The groebner engine
+    decides the same question from the symbolic square of the
+    left-multiplication matrix.
     """
     if engine not in ("linear", "groebner"):
         raise ValueError(f"unknown degeneracy engine {engine!r}")
@@ -172,7 +217,8 @@ def degeneracy(
 
 
 def _first_azd_witness(A: EvolutionAlgebra) -> Optional[Vec]:
-    witness = next(_support_witnesses(A), None)
+    supports = _dependent_supports(A, with_singletons=True)
+    witness = next(_support_witnesses(A, supports), None)
     if witness is not None and not is_absolute_zero_divisor(A, witness):
         raise RuntimeError("internal error: witness failed re-verification")
     return witness
@@ -229,12 +275,6 @@ def _semiprime_support(
     # (b) x * e_j^2 = 0 for j in R, linear in the coordinates of x on gamma
     k1 = _support_system(A, gamma, R)
     if k1.dim == 0:
-        return _SupportOutcome("clean")
-    # (c) x^2 = 0 seen as a linear condition on the squares x_i^2: if the
-    # relevant columns of M are independent no nonzero solution exists over
-    # any field
-    col_rows = [[A.M.at(m, i) for i in gamma] for m in range(n)]
-    if kernel_basis(Mat.from_rows(col_rows, cols=len(gamma))).dim == 0:
         return _SupportOutcome("clean")
     # substitute the kernel parametrization into x^2 = 0
     d = k1.dim
@@ -304,6 +344,10 @@ def semiprime(
     solve the linear conditions against the reachable squares plus the single
     quadratic condition x^2 = 0.
 
+    Only supports whose columns of M are dependent are visited: x^2 = 0 is
+    sum x_q^2 e_q^2 = 0 over gamma, which has no nonzero solution over any
+    field when those columns are independent.
+
     The verdict is held on A per height cap: a report asks again through
     ``prime`` and through ``prime_ideals`` (the quotient by the empty
     hereditary set is A itself).
@@ -329,7 +373,7 @@ def _semiprime(A: EvolutionAlgebra, height_cap: int) -> Verdict3:
         return hit
 
     undetermined_supports: list[tuple[int, ...]] = []
-    for gamma in iter_supports(n):
+    for gamma in _dependent_supports(A):
         outcome = _semiprime_support(A, gamma, reach_sets, sq_product_zero, height_cap)
         if outcome.kind == "witness":
             ideal = A.ideal_generated_by(outcome.witness)

@@ -419,6 +419,51 @@ class TestOneAnalysisPerReport:
         assert got == {0: analysis.UNDETERMINED, analysis.DEFAULT_HEIGHT_CAP: analysis.NO}
         assert analysis.semiprime(a).state == analysis.NO
 
+    def test_perfect_algebra_scans_only_singletons(self, monkeypatch):
+        # tridiagonal 1, 2, 1 has determinant n + 1 and a loop at every vertex
+        n = 11
+        rows = [[2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(n)]
+                for i in range(n)]
+        systems, visits = [], []
+        original_system = analysis._support_system
+        original_support = analysis._semiprime_support
+        monkeypatch.setattr(
+            analysis, "_support_system",
+            lambda A, gamma, targets: systems.append(gamma) or original_system(A, gamma, targets),
+        )
+        monkeypatch.setattr(
+            analysis, "_semiprime_support",
+            lambda A, gamma, *args: visits.append(gamma) or original_support(A, gamma, *args),
+        )
+        a = alg(rows)
+        report = cli.build_report(a, cli.render_algebra_file(a))
+        assert a.is_perfect()
+        assert report["verdicts"]["degenerate"]["state"] == "no"
+        assert report["verdicts"]["semiprime"]["state"] == "yes"
+        assert systems == [(i,) for i in range(n)]
+        assert visits == []
+
+    def test_nullity_one_semiprime_visits_supersets_of_the_circuit(self, monkeypatch):
+        # columns 2 and 3 are equal, so ker M is spanned by e3 - e4
+        a = alg([
+            [2, 0, 1, 1, 1, 0],
+            [1, 1, 1, 1, -1, 0],
+            [2, 0, 0, 0, -1, 2],
+            [0, 2, 0, 0, 0, 0],
+            [0, 1, 1, 1, 2, 0],
+            [1, 0, 0, 0, 1, 1],
+        ])
+        assert a.null_space().basis_vectors() == [(0, 0, 1, -1, 0, 0)]
+        visits = []
+        original = analysis._semiprime_support
+        monkeypatch.setattr(
+            analysis, "_semiprime_support",
+            lambda A, gamma, *args: visits.append(gamma) or original(A, gamma, *args),
+        )
+        assert analysis.semiprime(a).state == analysis.YES
+        supersets = [g for g in analysis.iter_supports(6) if {2, 3} <= set(g)]
+        assert len(supersets) == 16 and visits == supersets
+
 
 def test_module_entry_point_smoke(tmp_path):
     path = write_algebra(tmp_path, COMPLETE2_ROWS)
