@@ -1,33 +1,28 @@
 """Verdict engines for evolution algebras.
 
-Every engine is exact over Q.  Degeneracy is decided by enumerating supports:
-for a fixed support the absolute-zero-divisor condition is linear, so the
-answer is always definite.  Semiprimeness is three-valued:
+Every engine is exact over Q, and every ``yes`` or ``no`` is definite; a
+verdict is ``undetermined`` only when an engine limit is hit.
 
-* ``no`` comes with a concrete zero-square ideal, re-verified by direct
-  multiplication;
-* ``yes`` is certified over the algebraic closure (a zero-square ideal over Q
-  would survive scalar extension, so an empty closure variety is conclusive);
-* ``undetermined`` means some support admits a zero-square ideal over the
-  closure but the bounded search found no rational point.  The reason is
-  recorded in the certificate.
+Degeneracy is decided by enumerating supports: for a fixed support the
+absolute-zero-divisor condition is linear.  Column i of M is e_i^2, so for x
+supported exactly on gamma, x * e_j^2 is a combination of the columns of M on
+gamma.  When those columns are linearly independent, x * e_j^2 = 0 for all j
+in gamma forces M[q][j] = 0 on gamma, so each of its singletons already holds
+a witness.  The scan therefore visits the singletons and then the supports
+that are dependent in the column matroid of M; a perfect algebra (M
+nonsingular) has none, so degeneracy checks its n singletons.
 
-Both scans visit only the supports that can hold the first witness.  Column i
-of M is e_i^2, so for x supported exactly on gamma, x * e_j^2 and x^2 are
-combinations of the columns of M on gamma.  When those columns are linearly
-independent, x^2 = 0 has no solution there, and x * e_j^2 = 0 for all j in
-gamma forces M[q][j] = 0 on gamma, so each of its singletons already holds a
-witness.  Semiprimeness therefore visits only the supports that are dependent
-in the column matroid of M, and degeneracy visits the singletons and then
-those supports.  A perfect algebra (M nonsingular) has no dependent support,
-so degeneracy checks its n singletons and semiprimeness checks nothing.
+Semiprimeness is decided one vertex at a time: A is semiprime iff no vertex
+v has e_j^2 e_k^2 = 0 for all j, k reachable from v (see ``semiprime``).  A
+``no`` comes with a zero-square ideal, re-verified by direct multiplication;
+a ``yes`` holds over every field, hence over the algebraic closure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import graph as graphmod
@@ -50,7 +45,6 @@ NO = "no"
 UNDETERMINED = "undetermined"
 
 DEFAULT_SUPPORT_BOUND = 16
-DEFAULT_HEIGHT_CAP = 50
 DEFAULT_CENTROID_BOUND = 1024  # unknowns in the centralizer system
 
 
@@ -105,13 +99,13 @@ def is_zero_annihilator(A: EvolutionAlgebra) -> bool:
     return sinkless
 
 
-def _support_system(A: EvolutionAlgebra, gamma: Sequence[int], targets) -> Subspace:
+def _support_system(A: EvolutionAlgebra, gamma: Sequence[int]) -> Subspace:
     """Coordinates on gamma of the x supported there with x * e_j^2 = 0 for
-    every target j: the kernel of the rows M[q][j] * M[m][q] over q in gamma,
-    one row per (j, m) in that order, all-zero rows dropped."""
+    every j in gamma: the kernel of the rows M[q][j] * M[m][q] over q in
+    gamma, one row per (j, m) in that order, all-zero rows dropped."""
     n = A.n
     rows = []
-    for j in targets:
+    for j in gamma:
         for m in range(n):
             row = [A.M.at(q, j) * A.M.at(m, q) for q in gamma]
             if any(row):
@@ -128,22 +122,17 @@ def _embed(n: int, gamma: Sequence[int], compact: Sequence[Rat]) -> Vec:
     return tuple(out)
 
 
-def _dependent_supports(A: EvolutionAlgebra, *, with_singletons: bool = False):
+def _dependent_supports(A: EvolutionAlgebra):
     """Supports on which the columns of M are linearly dependent, ascending by
-    size then lexicographically; with ``with_singletons`` every singleton comes
-    first, then the dependent supports of size two or more.
+    size then lexicographically.
 
     A support is dependent iff it contains a circuit of ``A.circuits()``, so
     each size is built as the supersets of the circuits: an independent
     support is never produced, and a perfect algebra has no circuits.
     """
     n = A.n
-    smallest = 1
-    if with_singletons:
-        yield from ((i,) for i in range(n))
-        smallest = 2
     circuits = A.circuits()
-    for size in range(smallest, n + 1):
+    for size in range(1, n + 1):
         masks: set[int] = set()
         for circuit in circuits:
             extra = size - circuit.bit_count()
@@ -163,7 +152,7 @@ def _support_witnesses(A: EvolutionAlgebra, supports):
     dividing by x_i leaves the linear system x * e_i^2 = 0 on gamma.
     """
     for gamma in supports:
-        kern = _support_system(A, gamma, gamma)
+        kern = _support_system(A, gamma)
         if kern.dim:
             yield _embed(A.n, gamma, kern.basis.row(0))
 
@@ -217,7 +206,9 @@ def degeneracy(
 
 
 def _first_azd_witness(A: EvolutionAlgebra) -> Optional[Vec]:
-    supports = _dependent_supports(A, with_singletons=True)
+    # a dependent singleton is a zero column, hence loop-free: the singleton
+    # scan in front has already stopped at it
+    supports = itertools.chain(((i,) for i in range(A.n)), _dependent_supports(A))
     witness = next(_support_witnesses(A, supports), None)
     if witness is not None and not is_absolute_zero_divisor(A, witness):
         raise RuntimeError("internal error: witness failed re-verification")
@@ -233,162 +224,57 @@ def nondegenerate_perfect_check(A: EvolutionAlgebra) -> bool:
     return all(A.M.at(i, i) != 0 for i in range(A.n))
 
 
-@dataclass(frozen=True)
-class _SupportOutcome:
-    kind: str  # "clean" | "witness" | "undetermined"
-    witness: Optional[Vec] = None
-
-
-def _primitive_vectors(dim: int, height: int):
-    """Primitive integer vectors with max-norm exactly `height`, first nonzero
-    coordinate positive, in lexicographic order."""
-    for t in itertools.product(range(-height, height + 1), repeat=dim):
-        if max(abs(c) for c in t) != height:
-            continue
-        first = next((c for c in t if c), None)
-        if first is None or first < 0:
-            continue
-        g = 0
-        for c in t:
-            g = gcd(g, abs(c))
-        if g == 1:
-            yield t
-
-
-def _semiprime_support(
-    A: EvolutionAlgebra,
-    gamma: Sequence[int],
-    reach_sets: list[frozenset[int]],
-    sq_product_zero,
-    height_cap: int,
-) -> _SupportOutcome:
-    n = A.n
-    closure: set[int] = set()
-    for v in gamma:
-        closure |= reach_sets[v]
-    R = sorted(closure)
-    # (a) all products of squares over the reachable set must vanish
-    for j in R:
-        for k in R:
-            if not sq_product_zero(j, k):
-                return _SupportOutcome("clean")
-    # (b) x * e_j^2 = 0 for j in R, linear in the coordinates of x on gamma
-    k1 = _support_system(A, gamma, R)
-    if k1.dim == 0:
-        return _SupportOutcome("clean")
-    # substitute the kernel parametrization into x^2 = 0
-    d = k1.dim
-    basis_vecs = k1.basis_vectors()
-    lin = [
-        polymod.MPoly(d, {tuple(1 if b == a else 0 for b in range(d)): basis_vecs[a][pos]
-                          for a in range(d) if basis_vecs[a][pos]})
-        for pos in range(len(gamma))
-    ]
-    quadratics = []
-    for m in range(n):
-        q = polymod.MPoly.zero(d)
-        for pos in range(len(gamma)):
-            c = A.M.at(m, gamma[pos])
-            if c and lin[pos].terms:
-                q = q + (lin[pos] * lin[pos]).scale(c)
-        if not q.is_zero():
-            quadratics.append(q)
-    if not quadratics:
-        witness = _embed(n, gamma, basis_vecs[0])
-        return _SupportOutcome("witness", witness)
-    # closure certificate on the parameter space
-    try:
-        if polymod.variety_is_only_origin(polymod.PolyIdeal.of(d, quadratics)):
-            return _SupportOutcome("clean")
-    except EngineLimitError:
-        return _SupportOutcome("undetermined")
-    # rational point search by increasing height
-    int_quadratics = []
-    for q in quadratics:
-        denom = 1
-        for c in q.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        int_quadratics.append({m: int(c * denom) for m, c in q.terms.items()})
-
-    def _eval(q, t):
-        total = 0
-        for m, c in q.items():
-            v = c
-            for x, e in zip(t, m):
-                for _ in range(e):
-                    v *= x
-            total += v
-        return total
-
-    for height in range(1, height_cap + 1):
-        for t in _primitive_vectors(d, height):
-            if all(_eval(q, t) == 0 for q in int_quadratics):
-                compact = [
-                    sum((Rat(t[a]) * basis_vecs[a][pos] for a in range(d)), ZERO)
-                    for pos in range(len(gamma))
-                ]
-                return _SupportOutcome("witness", _embed(n, gamma, tuple(compact)))
-    return _SupportOutcome("undetermined")
-
-
-def semiprime(
-    A: EvolutionAlgebra,
-    *,
-    support_bound: int = DEFAULT_SUPPORT_BOUND,
-    height_cap: int = DEFAULT_HEIGHT_CAP,
-) -> Verdict3:
+def semiprime(A: EvolutionAlgebra, *, support_bound: int = DEFAULT_SUPPORT_BOUND) -> Verdict3:
     """Absence of nonzero ideals with zero square.
 
-    The search runs over principal ideals: a zero-square ideal contains the
-    principal ideal of each of its elements, so per support it suffices to
-    solve the linear conditions against the reachable squares plus the single
-    quadratic condition x^2 = 0.
+    Call a vertex v isotropic when e_j^2 e_k^2 = 0 for all j, k in reach(v)
+    (which contains v).  A is semiprime iff no vertex is isotropic, over any
+    field:
 
-    Only supports whose columns of M are dependent are visited: x^2 = 0 is
-    sum x_q^2 e_q^2 = 0 over gamma, which has no nonzero solution over any
-    field when those columns are independent.
+    * If I != 0 is an ideal with I^2 = 0, take x in I nonzero and v in its
+      support.  The ideal generated by x contains x e_v = x_v e_v^2, and
+      with e_j^2 it contains e_j^2 e_k = M[k][j] e_k^2, so it contains e_j^2
+      for every j in reach(v).  Its square is zero, so v is isotropic.
+    * If v is isotropic and e_v^2 = 0, then span(e_v) is an ideal with zero
+      square.  Otherwise J = span{e_j^2 : j in reach(v)} is nonzero, closed
+      under multiplication by each e_k (M[k][j] != 0 puts k in reach(v)),
+      and J^2 = 0 by isotropy.
 
-    The verdict is held on A per height cap: a report asks again through
-    ``prime`` and through ``prime_ideals`` (the quotient by the empty
-    hereditary set is A itself).
+    The witness is the ideal generated by e_v for the first vertex with
+    e_v^2 = 0, else by e_v^2 for the first isotropic vertex.  Since the test
+    holds over any field, ``yes`` is certified over the algebraic closure.
+
+    The verdict is held on A: a report asks again through ``prime`` and
+    through ``prime_ideals`` (the quotient by the empty hereditary set is A
+    itself).
     """
     if A.n > support_bound:
         raise EngineLimitError(f"support bound exceeded: n={A.n} > {support_bound}")
-    return A._held(("semiprime", height_cap), lambda: _semiprime(A, height_cap))
+    return A._held("semiprime", lambda: _semiprime(A))
 
 
-def _semiprime(A: EvolutionAlgebra, height_cap: int) -> Verdict3:
+def _semiprime(A: EvolutionAlgebra) -> Verdict3:
     n = A.n
-    g = A.graph()
-    reach_sets = [graphmod.reach(g, (v,)) for v in range(n)]
     squares = [A.basis_square(i) for i in range(n)]
-    zero_table: dict[tuple[int, int], bool] = {}
+    product_is_zero = functools.cache(
+        lambda j, k: vec_is_zero(A.multiply(squares[j], squares[k]))
+    )
 
-    def sq_product_zero(j: int, k: int) -> bool:
-        key = (j, k) if j <= k else (k, j)
-        hit = zero_table.get(key)
-        if hit is None:
-            hit = vec_is_zero(A.multiply(squares[j], squares[k]))
-            zero_table[key] = hit
-        return hit
-
-    undetermined_supports: list[tuple[int, ...]] = []
-    for gamma in _dependent_supports(A):
-        outcome = _semiprime_support(A, gamma, reach_sets, sq_product_zero, height_cap)
-        if outcome.kind == "witness":
-            ideal = A.ideal_generated_by(outcome.witness)
-            _verify_zero_square_ideal(A, ideal)
-            sup = sorted(support(outcome.witness))
-            return Verdict3.no(f"principal-zero-square-ideal support={sup}", ideal)
-        if outcome.kind == "undetermined":
-            undetermined_supports.append(gamma)
-    if undetermined_supports:
-        shown = ", ".join(str(list(s)) for s in undetermined_supports[:4])
-        return Verdict3.undetermined(
-            "closure witness exists but no rational point found at height "
-            f"<= {height_cap} for supports {shown}"
+    def isotropic(v: int) -> bool:
+        closure = sorted(graphmod.reach(A.graph(), (v,)))
+        return all(
+            product_is_zero(j, k)
+            for j, k in itertools.combinations_with_replacement(closure, 2)
         )
-    return Verdict3.yes("all-supports-certified-over-closure")
+
+    generator = next((A.basis_element(v) for v in range(n) if vec_is_zero(squares[v])), None)
+    if generator is None:
+        generator = next((squares[v] for v in range(n) if isotropic(v)), None)
+    if generator is None:
+        return Verdict3.yes("all-supports-certified-over-closure")
+    ideal = A.ideal_generated_by(generator)
+    _verify_zero_square_ideal(A, ideal)
+    return Verdict3.no(f"principal-zero-square-ideal support={sorted(support(generator))}", ideal)
 
 
 def _verify_zero_square_ideal(A: EvolutionAlgebra, ideal: Subspace):
@@ -404,71 +290,51 @@ def _verify_zero_square_ideal(A: EvolutionAlgebra, ideal: Subspace):
                 raise RuntimeError("internal error: witness is not an ideal")
 
 
-def prime(
-    A: EvolutionAlgebra,
-    *,
-    support_bound: int = DEFAULT_SUPPORT_BOUND,
-    height_cap: int = DEFAULT_HEIGHT_CAP,
-) -> Verdict3:
+def prime(A: EvolutionAlgebra, *, support_bound: int = DEFAULT_SUPPORT_BOUND) -> Verdict3:
     """Primeness.
 
     A prime algebra has a downward directed graph, so that check is an
     unconditional rejection.  Perfect algebras are prime exactly when the
-    graph is downward directed; otherwise the semiprime verdict decides, and
-    its undetermined state propagates.
+    graph is downward directed; otherwise the semiprime verdict decides.
     """
     if not graphmod.is_downward_directed(A.graph()):
         return Verdict3.no("graph-not-downward-directed")
     if A.is_perfect():
         return Verdict3.yes("perfect-and-downward-directed")
-    sp = semiprime(A, support_bound=support_bound, height_cap=height_cap)
+    sp = semiprime(A, support_bound=support_bound)
     if sp.is_yes:
         return Verdict3.yes("semiprime-and-downward-directed")
-    if sp.is_no:
-        return Verdict3.no("not-semiprime", sp.witness)
-    return Verdict3.undetermined(f"semiprime undetermined: {sp.certificate}")
+    return Verdict3.no("not-semiprime", sp.witness)
 
 
 @dataclass(frozen=True)
 class PrimeIdealsResult:
     primes: tuple[BasicIdeal, ...]
-    undetermined: tuple[frozenset[int], ...]
     rejected: tuple[tuple[frozenset[int], str], ...]
 
 
 def prime_ideals(
-    A: EvolutionAlgebra,
-    *,
-    support_bound: int = DEFAULT_SUPPORT_BOUND,
-    height_cap: int = DEFAULT_HEIGHT_CAP,
+    A: EvolutionAlgebra, *, support_bound: int = DEFAULT_SUPPORT_BOUND
 ) -> PrimeIdealsResult:
     """All prime ideals, as basic ideals on hereditary sets.
 
     A hereditary set H yields a prime ideal exactly when the quotient graph is
-    downward directed and the quotient algebra is semiprime.  Hereditary sets
-    whose quotient gets an undetermined semiprime verdict are reported in a
-    separate channel, never silently classified.
+    downward directed and the quotient algebra is semiprime; every other
+    proper hereditary set is listed as rejected, with the reason.
     """
     g = A.graph()
     primes: list[BasicIdeal] = []
-    undetermined: list[frozenset[int]] = []
     rejected: list[tuple[frozenset[int], str]] = []
     for h in graphmod.hereditary_subsets(g):
         if len(h) == A.n:
             continue  # the whole algebra is not a proper ideal
         if not graphmod.is_downward_directed(graphmod.quotient(g, h)):
             rejected.append((h, "quotient-not-downward-directed"))
-            continue
-        verdict = semiprime(
-            A.quotient_by_basic(h), support_bound=support_bound, height_cap=height_cap
-        )
-        if verdict.is_yes:
+        elif semiprime(A.quotient_by_basic(h), support_bound=support_bound).is_yes:
             primes.append(A.basic_ideal(h))
-        elif verdict.is_no:
-            rejected.append((h, "quotient-not-semiprime"))
         else:
-            undetermined.append(h)
-    return PrimeIdealsResult(tuple(primes), tuple(undetermined), tuple(rejected))
+            rejected.append((h, "quotient-not-semiprime"))
+    return PrimeIdealsResult(tuple(primes), tuple(rejected))
 
 
 def absorption(A: EvolutionAlgebra) -> tuple[Subspace, int]:

@@ -14,8 +14,9 @@ basis vector i).  Entries are integers or exact fraction strings like
 ``"-2/3"``; floats are rejected to keep everything exact.
 
 Commands: analyze, graph, prime-ideals, centroid, decompose, series, element,
-random.  Exit codes: 0 all verdicts determined, 1 input or usage error, 2 at
-least one undetermined verdict or engine limit (verdicts are still emitted).
+random.  Exit codes: 0 all verdicts determined, 1 input or usage error, 2 an
+engine limit was hit (the verdicts it blocked are reported as undetermined,
+the others are still emitted).
 """
 
 from __future__ import annotations
@@ -180,7 +181,6 @@ def _prime_ideals_json(A: EvolutionAlgebra, res: analysis.PrimeIdealsResult) -> 
             }
             for b in res.primes
         ],
-        "undetermined": [[A.labels[i] for i in sorted(h)] for h in res.undetermined],
         "rejected": [
             {"vertices": [A.labels[i] for i in sorted(h)], "reason": reason}
             for h, reason in res.rejected
@@ -196,86 +196,57 @@ def _verdict_json(v: Verdict3) -> dict:
     return {"state": v.state, "certificate": v.certificate, "witness": _witness_json(v.witness)}
 
 
-def _limit_verdict(exc: EngineLimitError) -> Verdict3:
-    return Verdict3.undetermined(f"engine-limit: {exc}")
-
-
 def build_report(
     A: EvolutionAlgebra,
     echo: dict,
     *,
     engine: str = "linear",
     support_bound: int = analysis.DEFAULT_SUPPORT_BOUND,
-    height_cap: int = analysis.DEFAULT_HEIGHT_CAP,
 ) -> dict:
     """Run every engine and collect the machine-readable report."""
     limits: list[str] = []
 
-    def run_verdict(fn) -> Verdict3:
+    def guarded(compute, on_limit):
+        """compute(), or on_limit(note) when an engine limit is hit."""
         try:
-            return fn()
+            return compute()
         except EngineLimitError as exc:
             limits.append(str(exc))
-            return _limit_verdict(exc)
+            return on_limit(f"engine-limit: {exc}")
 
-    degenerate = run_verdict(
-        lambda: analysis.degeneracy(A, engine=engine, support_bound=support_bound)
+    degenerate = guarded(
+        lambda: analysis.degeneracy(A, engine=engine, support_bound=support_bound),
+        Verdict3.undetermined,
     )
-    semi = run_verdict(
-        lambda: analysis.semiprime(A, support_bound=support_bound, height_cap=height_cap)
+    semi = guarded(
+        lambda: analysis.semiprime(A, support_bound=support_bound), Verdict3.undetermined
     )
-    pr = run_verdict(
-        lambda: analysis.prime(A, support_bound=support_bound, height_cap=height_cap)
+    pr = guarded(lambda: analysis.prime(A, support_bound=support_bound), Verdict3.undetermined)
+    prime_ideals_json = guarded(
+        lambda: _prime_ideals_json(A, analysis.prime_ideals(A, support_bound=support_bound)),
+        lambda note: {"error": note},
     )
-
-    try:
-        pres = analysis.prime_ideals(
-            A, support_bound=support_bound, height_cap=height_cap
-        )
-        prime_ideals_json = _prime_ideals_json(A, pres)
-        prime_ideals_undetermined = bool(pres.undetermined)
-    except EngineLimitError as exc:
-        limits.append(str(exc))
-        prime_ideals_json = {"error": f"engine-limit: {exc}"}
-        prime_ideals_undetermined = True
 
     radical, asi = analysis.absorption(A)
     series, _ = A.ann_series()
 
-    try:
-        centroid_json = _centroid_json(analysis.centroid(A))
-        centroid_undetermined = False
-    except EngineLimitError as exc:
-        limits.append(str(exc))
-        centroid_json = {"error": f"engine-limit: {exc}"}
-        centroid_undetermined = True
+    centroid_json = guarded(
+        lambda: _centroid_json(analysis.centroid(A)), lambda note: {"error": note}
+    )
 
     comps = [[A.labels[i] for i in block] for block in graphmod.components(A.graph())]
 
     zero_ann = analysis.is_zero_annihilator(A)
-    decomposition_undetermined = False
     if zero_ann:
-        try:
-            summands = analysis.decompose(A)
-            decomposition = {"summands": [render_algebra_file(s) for s in summands]}
-        except EngineLimitError as exc:
-            limits.append(str(exc))
-            decomposition = {"summands": None, "note": f"engine-limit: {exc}"}
-            decomposition_undetermined = True
+        decomposition = guarded(
+            lambda: {"summands": [render_algebra_file(s) for s in analysis.decompose(A)]},
+            lambda note: {"summands": None, "note": note},
+        )
     else:
         decomposition = {
             "summands": None,
             "note": "component count is basis dependent when the annihilator is nonzero",
         }
-
-    undetermined_present = (
-        degenerate.state == analysis.UNDETERMINED
-        or semi.state == analysis.UNDETERMINED
-        or pr.state == analysis.UNDETERMINED
-        or prime_ideals_undetermined
-        or centroid_undetermined
-        or decomposition_undetermined
-    )
 
     return {
         "input": echo,
@@ -299,9 +270,8 @@ def build_report(
         "engine": {
             "degeneracy_engine": engine,
             "support_bound": support_bound,
-            "height_cap": height_cap,
             "limits_hit": limits,
-            "undetermined_present": undetermined_present,
+            "undetermined_present": bool(limits),
         },
     }
 
@@ -341,9 +311,6 @@ def render_report_text(report: dict) -> str:
     else:
         shown = ", ".join("{" + ", ".join(p["vertices"]) + "}" for p in pi["primes"]) or "none"
         lines.append(f"prime ideals ({len(pi['primes'])}): {shown}")
-        if pi["undetermined"]:
-            und = ", ".join("{" + ", ".join(h) + "}" for h in pi["undetermined"])
-            lines.append(f"prime ideals undetermined for: {und}")
     absn = v["absorption"]
     lines.append(
         f"absorption radical dimension: {len(absn['radical']['basis'])}, asi={absn['asi']}"
@@ -397,16 +364,10 @@ def _add_engine_flags(sp):
         default=analysis.DEFAULT_SUPPORT_BOUND,
         help="max dimension for support enumeration engines",
     )
-    sp.add_argument(
-        "--height-cap",
-        type=_non_negative_int,
-        default=analysis.DEFAULT_HEIGHT_CAP,
-        help="max height for the rational witness search",
-    )
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, like other input errors; exit 2 means undetermined."""
+    """Usage errors exit 1, like other input errors; exit 2 means an engine limit."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -468,13 +429,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     A, echo = load_algebra(args.file)
-    report = build_report(
-        A,
-        echo,
-        engine=args.engine,
-        support_bound=args.support_bound,
-        height_cap=args.height_cap,
-    )
+    report = build_report(A, echo, engine=args.engine, support_bound=args.support_bound)
     if args.json:
         sys.stdout.write(report_to_json(report))
     else:
@@ -490,7 +445,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_prime_ideals(args) -> int:
     A, _ = load_algebra(args.file)
-    res = analysis.prime_ideals(A, support_bound=args.support_bound, height_cap=args.height_cap)
+    res = analysis.prime_ideals(A, support_bound=args.support_bound)
     payload = _prime_ideals_json(A, res)
     if args.json:
         sys.stdout.write(report_to_json(payload))
@@ -499,9 +454,7 @@ def _cmd_prime_ideals(args) -> int:
             sys.stdout.write("prime ideal on {" + ", ".join(p["vertices"]) + "}\n")
         if not payload["primes"]:
             sys.stdout.write("no prime ideals\n")
-        for h in payload["undetermined"]:
-            sys.stdout.write("undetermined for {" + ", ".join(h) + "}\n")
-    return 2 if res.undetermined else 0
+    return 0
 
 
 def _cmd_centroid(args) -> int:

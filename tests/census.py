@@ -2,12 +2,14 @@
 
 Enumerates every structure matrix of a given dimension with entries from a
 fixed value set, in ``itertools.product`` order, and decides degeneracy and
-semiprimeness for each.  Run as a script it covers all 3^9 = 19,683 matrices
-with n = 3 over {-1, 0, 1} and prints the verdict counts plus a sha256 over
-one line per matrix (matrix, degeneracy and semiprime verdicts, certificates
-and witnesses), so two versions of the engines can be compared byte for byte:
+semiprimeness for each.  Run as a script it prints the verdict counts plus a
+sha256 over one line per matrix (matrix, degeneracy and semiprime verdicts,
+certificates and witnesses), so two versions of the engines can be compared
+byte for byte.  The optional arguments are n and a comma-separated value set;
+the defaults cover all 3^9 = 19,683 matrices with n = 3 over {-1, 0, 1}:
 
-    PYTHONPATH=src python tests/census.py
+    PYTHONPATH=src python tests/census.py          # n = 3 over {-1, 0, 1}
+    PYTHONPATH=src python tests/census.py 4 0,1    # all 65,536 with n = 4
 
 pytest does not collect this file; ``tests/test_census.py`` imports its
 enumerator and checks a fixed stride of it.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import sys
 from collections import Counter
 
 from evolalg import analysis
@@ -39,10 +42,10 @@ def _render(value) -> str:
     return "[" + ";".join(_render(v) for v in value.basis_vectors()) + "]"
 
 
-def main(n: int = 3) -> None:
+def main(n: int = 3, values=CENSUS_VALUES) -> None:
     digest = hashlib.sha256()
     counts: Counter = Counter()
-    for rows in census_matrices(n):
+    for rows in census_matrices(n, values):
         a = EvolutionAlgebra.from_rows(rows)
         deg = analysis.degeneracy(a)
         semi = analysis.semiprime(a)
@@ -60,4 +63,8 @@ def main(n: int = 3) -> None:
 
 
 if __name__ == "__main__":
-    main()
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else 3
+    values = (
+        tuple(int(v) for v in sys.argv[2].split(",")) if len(sys.argv) > 2 else CENSUS_VALUES
+    )
+    main(n, values)

@@ -206,22 +206,24 @@ class TestSemiprime:
 
     def test_sum_of_squares_support_is_undetermined_but_verdict_definite(self):
         # the support {0,1} admits zero-square solutions only over the closure
-        # (x0^2 + x1^2 = 0), yet a later support yields a rational witness
-        from evolalg.analysis import _semiprime_support
-
+        # (x0^2 + x1^2 = 0), yet the verdict is a definite rational witness
         a = alg([[0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, -1], [1, 1, 1, -1]])
-        g = a.graph()
-        reach_sets = [G.reach(g, (v,)) for v in range(4)]
-        squares = [a.basis_square(i) for i in range(4)]
-
-        def sqz(j, k):
-            return vec_is_zero(a.multiply(squares[j], squares[k]))
-
-        out = _semiprime_support(a, (0, 1), reach_sets, sqz, 50)
-        assert out.kind == "undetermined"
         v = analysis.semiprime(a)
         assert v.state == "no"
         assert v.witness == Subspace.span([[0, 0, 1, 1]], 4)
+
+    def test_witness_is_generated_by_the_first_isotropic_square(self):
+        # no basis square vanishes; vertex 0 reaches {0, 2, 3}, whose squares
+        # are +-(e3 + e4) with (e3 + e4)^2 = 0, so the witness is generated
+        # by e1^2 = e3 + e4 on support [2, 3] (span(e1 - e2, e3 + e4) is
+        # another zero-square ideal, on the support [0, 1])
+        a = alg([[0, 0, 0, 0], [0, 0, 0, 0], [1, -1, 1, -1], [1, -1, 1, -1]])
+        v = analysis.semiprime(a)
+        assert v.state == "no"
+        assert v.certificate == "principal-zero-square-ideal support=[2, 3]"
+        assert v.witness == Subspace.span([[0, 0, 1, 1]], 4)
+        p = analysis.prime(a)
+        assert p.state == "no" and p.certificate == "not-semiprime"
 
 
 class TestPrime:
@@ -261,7 +263,6 @@ class TestPrimeIdeals:
             [0, 1, 3, 4],
         ]
         assert res.primes[0].space == Subspace.axes(5, [0, 3, 4])
-        assert not res.undetermined
         reasons = dict(res.rejected)
         assert reasons[frozenset({0, 1})] == "quotient-not-semiprime"
         assert reasons[frozenset({3, 4})] == "quotient-not-downward-directed"

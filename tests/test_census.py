@@ -1,4 +1,4 @@
-"""A fixed stride of the small-dimension census as a gate for the support scans.
+"""A fixed stride of the small-dimension census as a gate for the verdict engines.
 
 The data is enumerated, not sampled: every 53rd matrix with n = 3 over
 {-1, 0, 1} and every 109th with n = 4 over {0, 1}.  ``tests/census.py`` runs
@@ -17,25 +17,39 @@ from census import census_matrices
 
 
 def check_scans(a: EvolutionAlgebra):
-    """The pruned scans against the unpruned references, and the paper's
-    perfect case."""
+    """The pruned degeneracy scan against the unpruned reference, the
+    semiprime closure test in both directions, and the paper's perfect
+    case."""
     all_witnesses = analysis.degeneracy_witnesses(a)
     assert analysis._first_azd_witness(a) == (all_witnesses[0] if all_witnesses else None)
 
-    g = a.graph()
-    reach_sets = [G.reach(g, (v,)) for v in range(a.n)]
-
-    def sqz(j, k):
-        return vec_is_zero(a.multiply(a.basis_square(j), a.basis_square(k)))
-
-    scanned = set(analysis._dependent_supports(a))
-    for gamma in analysis.iter_supports(a.n):
-        if gamma not in scanned:
-            outcome = analysis._semiprime_support(a, gamma, reach_sets, sqz, 50)
-            assert outcome.kind == "clean", gamma
-
     degenerate = analysis.degeneracy(a)
     semi = analysis.semiprime(a)
+    g = a.graph()
+    squares = [a.basis_square(i) for i in range(a.n)]
+
+    def isotropic(v):
+        closure = G.reach(g, (v,))
+        return all(
+            vec_is_zero(a.multiply(squares[j], squares[k])) for j in closure for k in closure
+        )
+
+    if semi.is_yes:
+        # every vertex reaches two squares with a nonzero product
+        assert not any(isotropic(v) for v in range(a.n))
+    else:
+        # e_v for the first zero square, else e_v^2 for the first isotropic v
+        assert semi.is_no
+        zero = [v for v in range(a.n) if vec_is_zero(squares[v])]
+        if zero:
+            generator = a.basis_element(zero[0])
+        else:
+            generator = squares[next(v for v in range(a.n) if isotropic(v))]
+        ideal = semi.witness
+        assert ideal.member(generator)
+        for x in ideal.basis_vectors():
+            for y in ideal.basis_vectors():
+                assert vec_is_zero(a.multiply(x, y))
     if a.is_perfect():
         assert semi.is_yes
         assert analysis.nondegenerate_perfect_check(a) == degenerate.is_no

@@ -1,14 +1,15 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from evolalg import analysis, cli, graph as graphmod
+from evolalg import algebra, analysis, cli, graph as graphmod, poly
+from evolalg.algebra import EvolutionAlgebra
 from evolalg.exactla import Rat
 
 from conftest import (
@@ -284,7 +285,7 @@ class TestOtherCommands:
 
 
 class TestUsageErrors:
-    """Usage errors exit 1 like other input errors; 2 means undetermined."""
+    """Usage errors exit 1 like other input errors; 2 means an engine limit."""
 
     @pytest.mark.parametrize(
         "args",
@@ -292,7 +293,7 @@ class TestUsageErrors:
             ["analyze", str(DATA / "complete_pair.json"), "--engine", "nope"],
             ["analyze"],
             ["analyze", str(DATA / "complete_pair.json"), "--support-bound", "-1"],
-            ["analyze", str(DATA / "complete_pair.json"), "--height-cap", "-3"],
+            ["analyze", str(DATA / "complete_pair.json"), "--height-cap", "3"],
             ["prime-ideals", str(DATA / "complete_pair.json"), "--support-bound", "-1"],
             [],
         ],
@@ -306,7 +307,7 @@ class TestUsageErrors:
 
     def test_zero_bounds_are_accepted(self, capsys):
         path = str(DATA / "complete_pair.json")
-        assert cli.main(["analyze", path, "--support-bound", "0", "--height-cap", "0"]) == 2
+        assert cli.main(["analyze", path, "--support-bound", "0"]) == 2
         assert "support bound exceeded: n=2 > 0" in capsys.readouterr().out
 
     def test_help_exits_zero(self, capsys):
@@ -341,11 +342,11 @@ class TestDataReports:
     # sha256 of `evolalg analyze FILE --json` on the sample files: a change to
     # any verdict, witness, certificate or formatting shows up here
     DIGESTS = {
-        "complete_pair": "51bb424853fcad8ccdf602bbc129ab5418214a9995741f39ca6600e2aeb6b992",
-        "five_vertex_lattice": "48136d583fcff1040482184b902e1683abafea5334b8e1da58ca5f86c93c4cd7",
-        "isolated_loops": "66c0c35a3b2b80b61679993751cb67e8cac0a61fa4d5cbd1b3810fd643e76032",
-        "sink_cascade": "2cc307b00ffce57087df29952d16b5c60c87f08b9c0d2ae6fa310e08ef307e13",
-        "unique_zero_square": "38efd92daad979ad5c05c24bc2b801dde5ae672c0175abf10130858082e65519",
+        "complete_pair": "8bf955c0bde56c223efa124c0b3f12a68012f8ecfde2d183068f44921b393597",
+        "five_vertex_lattice": "22d6ec7e5643d00c1d80e1ae367200b22dd5a3395005484207a5744bf950a047",
+        "isolated_loops": "70c48a3a05c81ce4c5cbdab3e50ee98629e97c3a79bcfd2c882ee8c6585d5d60",
+        "sink_cascade": "8cab12ce9ad59fffc70fcf62f9dec9f18e25629cd43f1fd02c217ee649953667",
+        "unique_zero_square": "1ab035fa65e5d7e24de42b30aea2d490152306f0b6f49ee4ae43fa7b8cb129d1",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -358,18 +359,15 @@ class TestDataReports:
 class TestOneAnalysisPerReport:
     def test_semiprime_visits_each_support_once(self, monkeypatch):
         # COMPLETE2_ROWS is downward directed and not perfect, so prime and
-        # prime_ideals (quotient by the empty set) both ask for semiprime(A)
-        visits = Counter()
-        original = analysis._semiprime_support
-
-        def counting(A, gamma, *args):
-            visits[(A.labels, A.M, gamma)] += 1
-            return original(A, gamma, *args)
-
-        monkeypatch.setattr(analysis, "_semiprime_support", counting)
+        # prime_ideals (quotient by the empty set) both ask for semiprime(A);
+        # the closure test runs once per algebra object (the list keeps every
+        # algebra alive, so equal ids mean the same object)
+        runs = []
+        original = analysis._semiprime
+        monkeypatch.setattr(analysis, "_semiprime", lambda A: runs.append(A) or original(A))
         a = alg(COMPLETE2_ROWS)
         cli.build_report(a, cli.render_algebra_file(a))
-        assert visits and max(visits.values()) == 1
+        assert runs and len({id(A) for A in runs}) == len(runs)
 
     @pytest.mark.parametrize(
         "rows", [COMPLETE2_ROWS, FIVE_ROWS, LATTICE5_ROWS, LOOPS2_ROWS, CASCADE8_ROWS]
@@ -400,9 +398,7 @@ class TestOneAnalysisPerReport:
     def test_empty_quotient_reuses_semiprime(self, monkeypatch):
         calls = []
         original = analysis._semiprime
-        monkeypatch.setattr(
-            analysis, "_semiprime", lambda A, cap: calls.append(A) or original(A, cap)
-        )
+        monkeypatch.setattr(analysis, "_semiprime", lambda A: calls.append(A) or original(A))
         a = alg(COMPLETE2_ROWS)
         assert a.quotient_by_basic(()) is a
         verdict = analysis.semiprime(a)
@@ -410,30 +406,16 @@ class TestOneAnalysisPerReport:
         analysis.prime_ideals(a)
         assert len(calls) == 1 and calls[0] is a
 
-    @pytest.mark.parametrize(
-        "order", [(0, analysis.DEFAULT_HEIGHT_CAP), (analysis.DEFAULT_HEIGHT_CAP, 0)]
-    )
-    def test_semiprime_is_held_per_height_cap(self, order):
-        a = alg([[-2, -2, 1], [-2, -2, 1], [4, 4, -2]])
-        got = {cap: analysis.semiprime(a, height_cap=cap).state for cap in order}
-        assert got == {0: analysis.UNDETERMINED, analysis.DEFAULT_HEIGHT_CAP: analysis.NO}
-        assert analysis.semiprime(a).state == analysis.NO
-
     def test_perfect_algebra_scans_only_singletons(self, monkeypatch):
         # tridiagonal 1, 2, 1 has determinant n + 1 and a loop at every vertex
         n = 11
         rows = [[2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(n)]
                 for i in range(n)]
-        systems, visits = [], []
+        systems = []
         original_system = analysis._support_system
-        original_support = analysis._semiprime_support
         monkeypatch.setattr(
             analysis, "_support_system",
-            lambda A, gamma, targets: systems.append(gamma) or original_system(A, gamma, targets),
-        )
-        monkeypatch.setattr(
-            analysis, "_semiprime_support",
-            lambda A, gamma, *args: visits.append(gamma) or original_support(A, gamma, *args),
+            lambda A, gamma: systems.append(gamma) or original_system(A, gamma),
         )
         a = alg(rows)
         report = cli.build_report(a, cli.render_algebra_file(a))
@@ -441,10 +423,11 @@ class TestOneAnalysisPerReport:
         assert report["verdicts"]["degenerate"]["state"] == "no"
         assert report["verdicts"]["semiprime"]["state"] == "yes"
         assert systems == [(i,) for i in range(n)]
-        assert visits == []
 
     def test_nullity_one_semiprime_visits_supersets_of_the_circuit(self, monkeypatch):
-        # columns 2 and 3 are equal, so ker M is spanned by e3 - e4
+        # columns 2 and 3 are equal, so ker M is spanned by e3 - e4; the
+        # closure test decides semiprime without that kernel, its circuits
+        # or any support system
         a = alg([
             [2, 0, 1, 1, 1, 0],
             [1, 1, 1, 1, -1, 0],
@@ -453,16 +436,42 @@ class TestOneAnalysisPerReport:
             [0, 1, 1, 1, 2, 0],
             [1, 0, 0, 0, 1, 1],
         ])
-        assert a.null_space().basis_vectors() == [(0, 0, 1, -1, 0, 0)]
-        visits = []
-        original = analysis._semiprime_support
-        monkeypatch.setattr(
-            analysis, "_semiprime_support",
-            lambda A, gamma, *args: visits.append(gamma) or original(A, gamma, *args),
-        )
+        calls = []
+        for owner, name in (
+            (analysis, "_support_system"),
+            (analysis, "kernel_basis"),
+            (algebra, "kernel_basis"),
+            (EvolutionAlgebra, "circuits"),
+            (poly, "groebner"),
+        ):
+            original = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+            )
         assert analysis.semiprime(a).state == analysis.YES
-        supersets = [g for g in analysis.iter_supports(6) if {2, 3} <= set(g)]
-        assert len(supersets) == 16 and visits == supersets
+        assert calls == []
+        assert a.null_space().basis_vectors() == [(0, 0, 1, -1, 0, 0)]
+
+    def test_rank_deficient_report_enumerates_no_circuits(self, monkeypatch):
+        # M = B C with B 12 x 6 (row 0 zero, so vertex 0 is loop-free) and
+        # C 6 x 12: rank 6, and ker M has 787 circuits
+        rng = random.Random(1)
+        b = [[0] * 6] + [[rng.randint(-3, 3) for _ in range(6)] for _ in range(11)]
+        c = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(6)]
+        rows = [[sum(b[i][k] * c[k][j] for k in range(6)) for j in range(12)]
+                for i in range(12)]
+        enumerated = []
+        original = EvolutionAlgebra._circuits
+        monkeypatch.setattr(
+            EvolutionAlgebra, "_circuits", lambda self: enumerated.append(self) or original(self)
+        )
+        a = alg(rows)
+        report = cli.build_report(a, cli.render_algebra_file(a))
+        assert enumerated == []
+        v = report["verdicts"]
+        assert v["degenerate"]["state"] == "yes"
+        assert v["degenerate"]["witness"] == {"element": ["1"] + ["0"] * 11}
+        assert v["semiprime"]["state"] == "yes"
 
 
 def test_module_entry_point_smoke(tmp_path):
