@@ -5,12 +5,26 @@ configurable.  The engine is sized for the quadratic systems produced by the
 symbolic square of a left-multiplication matrix; it enforces a hard variable
 bound and an S-pair reduction cap, and failing either raises EngineLimitError
 instead of hanging.
+
+S-pairs are kept by the criteria of Gebauer and Moeller (J. Symb. Comp. 6,
+1988) in the ``UPDATE`` form of Becker and Weispfenning: of the new pairs of
+an element h, one per lcm survives, none whose lcm another new pair's lcm
+properly divides or a coprime pair shares, and no coprime pair; a queued
+pair (i, j) goes when lm(h) divides its lcm and differs from lcm(i, h) and
+lcm(j, h).  The pairs left come off a heap in ascending grevlex order of
+their lcm.  The reduction cap counts only the pairs actually reduced.
+
+``variety_is_only_origin`` on homogeneous input stops the same loop as soon
+as the leading monomials held so far include a constant or a pure power of
+every variable: they all lie in LT(I), so k[x]/I is finite dimensional, and
+a homogeneous ideal with finitely many zeros vanishes only at the origin.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EngineLimitError
 from .exactla import ONE, Rat, ZERO, rat
@@ -260,6 +274,27 @@ class PolyIdeal:
         return PolyIdeal(nvars, tuple(cleaned))
 
 
+class _Reducers(tuple):
+    """Divisors in trial order, each held as (leading monomial, leading
+    coefficient, other terms) so that a reduction does not recompute them."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, polys: Iterable[MPoly]) -> "_Reducers":
+        return cls(_held(g) for g in polys if g)
+
+
+def _held(g: MPoly):
+    lm = g.leading_monomial()
+    return lm, g.terms[lm], tuple((m, c) for m, c in g.terms.items() if m != lm)
+
+
+def _descending(m: Monom):
+    """Heap key under which the grevlex-largest monomial comes out first."""
+    return (-sum(m), m[::-1])
+
+
 def normal_form(p: MPoly, basis) -> MPoly:
     """Remainder of p under multivariate division by the given polynomials.
 
@@ -267,35 +302,37 @@ def normal_form(p: MPoly, basis) -> MPoly:
     reducible term, so the result is deterministic; it is the canonical normal
     form whenever the basis is a Groebner basis.
     """
-    gens = list(basis.generators) if isinstance(basis, PolyIdeal) else list(basis)
-    gens = [g for g in gens if not g.is_zero()]
-    lms = [g.leading_monomial() for g in gens]
-    lcs = [g.terms[lm] for g, lm in zip(gens, lms)]
+    if not isinstance(basis, _Reducers):
+        basis = _Reducers.of(basis.generators if isinstance(basis, PolyIdeal) else basis)
     current = dict(p.terms)
+    order = [(_descending(m), m) for m in current]
+    heapq.heapify(order)
     remainder: dict[Monom, Rat] = {}
-    while current:
-        m = max(current, key=grevlex_key)
-        c = current.pop(m)
-        reducer = None
-        for idx, lm in enumerate(lms):
+    while order:
+        m = heapq.heappop(order)[1]
+        c = current.pop(m, None)
+        if c is None:
+            continue  # cancelled, or pushed twice
+        for lm, lc, tail in basis:
             if _monom_divides(lm, m):
-                reducer = idx
                 break
-        if reducer is None:
+        else:
             remainder[m] = c
             continue
-        g = gens[reducer]
-        shift = _monom_div(m, lms[reducer])
-        factor = c / lcs[reducer]
-        for mg, cg in g.terms.items():
-            if mg == lms[reducer]:
-                continue
+        shift = _monom_div(m, lm)
+        factor = c / lc
+        for mg, cg in tail:
             key = _monom_mul(mg, shift)
-            acc = current.get(key, ZERO) - factor * cg
-            if acc:
-                current[key] = acc
-            elif key in current:
-                del current[key]
+            old = current.get(key)
+            if old is None:
+                current[key] = -factor * cg
+                heapq.heappush(order, (_descending(key), key))
+            else:
+                acc = old - factor * cg
+                if acc:
+                    current[key] = acc
+                else:
+                    del current[key]
     return MPoly(p.nvars, remainder)
 
 
@@ -307,55 +344,108 @@ def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
     return left - right
 
 
-def groebner(ideal: PolyIdeal, *, var_bound: int = DEFAULT_VAR_BOUND) -> PolyIdeal:
-    """Reduced grevlex Groebner basis via Buchberger with pair pruning."""
+def _buchberger(ideal: PolyIdeal, var_bound: int) -> Iterator[tuple[MPoly, Monom]]:
+    """Buchberger's algorithm with the pair bookkeeping of Gebauer and Moeller.
+
+    Yields each basis element (monic) with its leading monomial as it joins
+    the basis: the input generators first, then every nonzero S-pair
+    remainder.  Once exhausted, the elements yielded form a Groebner basis of
+    the ideal, so a caller may stop early on what the leading monomials held
+    so far already prove.
+
+    Each new element h goes through ``UPDATE`` (Becker and Weispfenning,
+    *Groebner Bases*, 1993):
+
+    - of the new pairs (g, h), one is kept per lcm; a pair goes when another
+      new pair's lcm properly divides its lcm, or when a pair with coprime
+      leading monomials has the same lcm, and then the coprime pairs go
+      (their S-polynomials reduce to zero);
+    - a queued pair (i, j) goes when lm(h) divides lcm(i, j) and differs from
+      both lcm(i, h) and lcm(j, h) (the chain criterion);
+    - every reducer whose leading monomial lm(h) divides leaves the set of
+      reducers; its queued pairs stay.
+
+    Pairs come off a heap in ascending grevlex order of their lcm, ties by
+    index.
+    """
     if ideal.nvars > var_bound:
         raise EngineLimitError(
             f"variable bound exceeded: {ideal.nvars} > {var_bound}"
         )
+    inputs = sorted({g.monic() for g in ideal.generators if g}, key=MPoly.sort_key)
     basis: list[MPoly] = []
-    for g in sorted({g.monic() for g in ideal.generators if g}, key=MPoly.sort_key):
-        basis.append(g)
-    if not basis:
-        return PolyIdeal(ideal.nvars, ())
-
-    lms = [g.leading_monomial() for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    lms: list[Monom] = []
+    held: list = []
+    active: list[int] = []  # indices of the reducers, in basis order
+    reducers = _Reducers()
+    queue: list[tuple] = []  # heap of (grevlex_key(lcm), i, j, lcm)
     reductions = 0
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: (grevlex_key(_monom_lcm(lms[p[0]], lms[p[1]])), p),
-        )
-        pairs.remove((i, j))
-        lcm = _monom_lcm(lms[i], lms[j])
-        if lcm == _monom_mul(lms[i], lms[j]):
-            continue  # coprime leading monomials reduce to zero
-        reductions += 1
-        if reductions > DEFAULT_REDUCTION_CAP:
-            raise EngineLimitError(
-                f"S-pair reduction cap exceeded ({DEFAULT_REDUCTION_CAP})"
-            )
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if r.is_zero():
-            continue
-        r = r.monic()
-        basis.append(r)
-        lms.append(r.leading_monomial())
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+    while True:
+        if len(basis) < len(inputs):  # the input generators join first
+            h = inputs[len(basis)]
+        elif queue:
+            _, i, j, _ = heapq.heappop(queue)
+            reductions += 1
+            if reductions > DEFAULT_REDUCTION_CAP:
+                raise EngineLimitError(
+                    f"S-pair reduction cap exceeded ({DEFAULT_REDUCTION_CAP})"
+                )
+            h = normal_form(s_polynomial(basis[i], basis[j]), reducers)
+            if h.is_zero():
+                continue
+            h = h.monic()
+        else:
+            return
+        t = len(basis)
+        lm_h = h.leading_monomial()
+        by_lcm: dict[Monom, list[int]] = {}
+        for g in active:
+            by_lcm.setdefault(_monom_lcm(lms[g], lm_h), []).append(g)
+        coprime = {
+            lcm
+            for lcm, gs in by_lcm.items()
+            if any(lcm == _monom_mul(lms[g], lm_h) for g in gs)
+        }
+        new = [
+            (grevlex_key(lcm), gs[0], t, lcm)
+            for lcm, gs in by_lcm.items()
+            if lcm not in coprime
+            and not any(o != lcm and _monom_divides(o, lcm) for o in by_lcm)
+        ]
+        queue = [
+            pair
+            for pair in queue
+            if not _monom_divides(lm_h, pair[3])
+            or _monom_lcm(lms[pair[1]], lm_h) == pair[3]
+            or _monom_lcm(lms[pair[2]], lm_h) == pair[3]
+        ] + new
+        heapq.heapify(queue)
+        active = [g for g in active if not _monom_divides(lm_h, lms[g])] + [t]
+        basis.append(h)
+        lms.append(lm_h)
+        held.append(_held(h))
+        reducers = _Reducers(held[g] for g in active)
+        yield h, lm_h
 
+
+def groebner(ideal: PolyIdeal, *, var_bound: int = DEFAULT_VAR_BOUND) -> PolyIdeal:
+    """Reduced grevlex Groebner basis.
+
+    Buchberger's algorithm with the Gebauer-Moeller criteria (see
+    ``_buchberger``) runs to completion; the basis it yields is then cut to a
+    minimal one and tail-reduced.  The reduced basis is unique, so the
+    criteria change only how much work is done, never the result.
+    """
     # minimal basis: scan leading monomials upward, keeping only the ones not
     # divisible by an already kept (hence smaller or equal) leading monomial
-    keep: list[int] = []
-    for i in sorted(range(len(basis)), key=lambda k: (grevlex_key(lms[k]), k)):
-        if not any(_monom_divides(lms[k], lms[i]) for k in keep):
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
+    minimal: list[tuple[MPoly, Monom]] = []
+    for g, lm in sorted(_buchberger(ideal, var_bound), key=lambda e: grevlex_key(e[1])):
+        if not any(_monom_divides(m, lm) for _, m in minimal):
+            minimal.append((g, lm))
     # tail-reduce each element against the others to get the reduced basis
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
+    for i, (g, _) in enumerate(minimal):
+        others = [o for k, (o, _) in enumerate(minimal) if k != i]
         reduced.append(normal_form(g, others).monic() if others else g)
     reduced.sort(key=MPoly.sort_key)
     return PolyIdeal(ideal.nvars, tuple(reduced))
@@ -380,7 +470,8 @@ def in_radical(p: MPoly, ideal: PolyIdeal) -> bool:
 def _only_origin_homogeneous(basis: PolyIdeal) -> bool:
     """A homogeneous ideal vanishes only at the origin iff the quotient ring is
     finite dimensional, i.e. every variable has a pure power among the leading
-    monomials of the reduced basis."""
+    monomials of the reduced basis.  The verdict read off a completed basis,
+    which the early stop of ``variety_is_only_origin`` is tested against."""
     lms = [g.leading_monomial() for g in basis.generators]
     for i in range(basis.nvars):
         if not any(m[i] > 0 and all(e == 0 for k, e in enumerate(m) if k != i) for m in lms):
@@ -392,16 +483,33 @@ def variety_is_only_origin(ideal: PolyIdeal) -> bool:
     """Decide whether the common zero locus over the algebraic closure is {0}.
 
     Equivalently, every variable lies in the radical of the ideal.  For
-    homogeneous input a single basis computation suffices (finiteness
-    criterion); otherwise each variable is tested by radical membership.
+    homogeneous input one Buchberger run suffices, and it stops as soon as
+    the leading monomials yielded so far include a constant or a pure power
+    of every variable.  That is exact: each of them is the leading monomial
+    of an element of I, hence lies in LT(I), so only finitely many monomials
+    lie outside LT(I) and k[x]/I is finite dimensional.  Then V(I) is finite,
+    and a homogeneous ideal with a point p != 0 vanishes on the whole line
+    through p, so V(I) = {0}.  Conversely, when the run completes, its
+    leading monomials generate LT(I), so a missing pure power leaves
+    infinitely many standard monomials and a point other than the origin:
+    a ``False`` needs the completed run.  Otherwise each variable is tested
+    by radical membership.
     """
     if ideal.nvars == 0:
         return True
     if not ideal.generators:
         return False
     if all(g.is_homogeneous() for g in ideal.generators):
-        basis = groebner(ideal)
-        return is_unit_ideal(basis) or _only_origin_homogeneous(basis)
+        powers: set[int] = set()
+        for _, lm in _buchberger(ideal, DEFAULT_VAR_BOUND):
+            support = [i for i, e in enumerate(lm) if e]
+            if not support:
+                return True
+            if len(support) == 1:
+                powers.add(support[0])
+                if len(powers) == ideal.nvars:
+                    return True
+        return False
     return all(
         in_radical(MPoly.variable(ideal.nvars, i), ideal) for i in range(ideal.nvars)
     )

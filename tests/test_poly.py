@@ -1,16 +1,20 @@
+import json
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from evolalg import analysis, poly
+from evolalg import analysis, cli, poly
 from evolalg.errors import EngineLimitError
 from evolalg.exactla import Rat
 from evolalg.poly import (
     MPoly,
     PolyIdeal,
+    _only_origin_homogeneous,
     grevlex_key,
     groebner,
     in_radical,
+    is_unit_ideal,
     n2_entries,
     n2_ideal,
     normal_form,
@@ -43,6 +47,35 @@ def from_sympy(expr, symbols):
     return MPoly(len(symbols), terms)
 
 
+def dense_n2_ideal(seed):
+    """The ideal of one ``groebner-engine`` benchmark report: 5 variables, 25 generators."""
+    a, _ = cli.parse_algebra_text(json.dumps(cli.random_algebra_file(5, 1.0, seed)))
+    return n2_ideal(a)
+
+
+def sympy_reduced_basis(nvars, gens) -> set:
+    symbols = sympy.symbols(f"x1:{nvars + 1}")
+    if len(symbols) != nvars:
+        symbols = (symbols,) if nvars == 1 else symbols
+    theirs = sympy.groebner([to_sympy(p, symbols) for p in gens], *symbols, order="grevlex")
+    expected = {from_sympy(e, symbols).monic() for e in theirs.exprs}
+    return set() if expected == {MPoly.zero(nvars)} else expected
+
+
+# ideals whose basis needs a pair that the chain criterion keeps only because
+# lcm(i, h) or lcm(j, h) equals lcm(i, j)
+CHAIN_CASES = [
+    (2, [{(3, 0): 2, (2, 0): 1, (0, 2): -2}, {(0, 3): -2}, {(1, 0): -1, (3, 0): 1},
+         {(2, 0): -1, (0, 0): 2, (1, 0): -1}]),
+    (3, [{(0, 3, 0): 2, (0, 0, 0): -2}, {(1, 1, 1): -1, (1, 0, 1): 2}, {(1, 2, 0): -1},
+         {(1, 1, 0): -2}]),
+    (3, [{(2, 0, 0): -2, (0, 1, 0): 2}, {(0, 0, 0): 1, (2, 0, 0): 2},
+         {(1, 0, 1): 1, (1, 0, 0): -2}]),
+    (3, [{(0, 1, 2): 1}, {(2, 0, 1): -2, (3, 0, 0): -2}, {(1, 0, 0): 2, (0, 2, 1): -1},
+         {(2, 0, 1): -2, (1, 1, 0): -1, (0, 0, 2): -2}]),
+]
+
+
 rationals = st.builds(Rat, st.integers(-3, 3), st.integers(1, 2))
 
 
@@ -53,6 +86,15 @@ def polys(nvars, max_deg=2, max_terms=4):
     return st.lists(
         st.tuples(exps.map(tuple), rationals), max_size=max_terms
     ).map(lambda ts: MPoly(nvars, ts))
+
+
+def quadratic_forms(nvars):
+    exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).filter(
+        lambda e: sum(e) == 2
+    )
+    return st.lists(st.tuples(exps.map(tuple), rationals), max_size=4).map(
+        lambda ts: MPoly(nvars, ts)
+    )
 
 
 class TestGrevlex:
@@ -187,17 +229,33 @@ class TestGroebner:
         ]
         if not gens:
             return
-        symbols = sympy.symbols(f"x1:{nvars + 1}")
-        if len(symbols) != nvars:
-            symbols = (symbols,) if nvars == 1 else symbols
         ours = groebner(PolyIdeal.of(nvars, gens))
-        theirs = sympy.groebner(
-            [to_sympy(p, symbols) for p in gens], *symbols, order="grevlex"
+        assert set(ours.generators) == sympy_reduced_basis(nvars, gens)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sympy_on_dense_five_dim_n2_ideals(self, seed):
+        ideal = dense_n2_ideal(seed)
+        assert set(groebner(ideal).generators) == sympy_reduced_basis(5, ideal.generators)
+
+    @pytest.mark.parametrize("nvars, gens", CHAIN_CASES)
+    def test_matches_sympy_where_the_chain_criterion_must_keep_a_pair(self, nvars, gens):
+        gens = [MPoly(nvars, g) for g in gens]
+        ours = groebner(PolyIdeal.of(nvars, gens))
+        assert set(ours.generators) == sympy_reduced_basis(nvars, gens)
+
+    def test_pair_criteria_and_early_stop_bound_the_work(self, monkeypatch):
+        # without the criteria both calls reduce 404 S-polynomials here
+        calls = []
+        s_polynomial = poly.s_polynomial
+        monkeypatch.setattr(
+            poly, "s_polynomial", lambda f, g: calls.append(None) or s_polynomial(f, g)
         )
-        expected = {from_sympy(e, symbols).monic() for e in theirs.exprs}
-        if expected == {MPoly.zero(nvars)}:
-            expected = set()
-        assert set(ours.generators) == expected
+        ideal = dense_n2_ideal(0)
+        assert variety_is_only_origin(ideal)
+        assert len(calls) <= 20
+        calls.clear()
+        groebner(ideal)
+        assert 0 < len(calls) <= 80
 
 
 class TestNormalForm:
@@ -236,7 +294,9 @@ class TestVarietyOrigin:
         assert variety_is_only_origin(PolyIdeal.of(2, gens))
 
     def test_deg4_has_free_direction(self):
-        assert not variety_is_only_origin(n2_ideal(alg(DEG4_ROWS)))
+        ideal = n2_ideal(alg(DEG4_ROWS))
+        assert not variety_is_only_origin(ideal)
+        assert not _only_origin_homogeneous(groebner(ideal))
 
     def test_line_is_not_origin(self):
         x = MPoly.variable(2, 0)
@@ -261,16 +321,25 @@ class TestVarietyOrigin:
     @settings(max_examples=25, deadline=None)
     def test_homogeneous_shortcut_agrees_with_radical_route(self, data):
         nvars = data.draw(st.integers(1, 3))
-        exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).filter(
-            lambda e: sum(e) == 2
-        )
-        quadratic_forms = st.lists(
-            st.tuples(exps.map(tuple), rationals), max_size=4
-        ).map(lambda ts: MPoly(nvars, ts))
-        gens = [p for p in data.draw(st.lists(quadratic_forms, min_size=1, max_size=3)) if p]
+        forms = st.lists(quadratic_forms(nvars), min_size=1, max_size=3)
+        gens = [p for p in data.draw(forms) if p]
         if not gens:
             return
         ideal = PolyIdeal.of(nvars, gens)
         fast = variety_is_only_origin(ideal)
         slow = all(in_radical(MPoly.variable(nvars, i), ideal) for i in range(nvars))
         assert fast == slow
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_early_stop_agrees_with_the_completed_basis(self, data):
+        nvars = data.draw(st.integers(1, 4))
+        forms = st.lists(quadratic_forms(nvars), min_size=1, max_size=nvars + 1)
+        gens = [p for p in data.draw(forms) if p]
+        if not gens:
+            return
+        ideal = PolyIdeal.of(nvars, gens)
+        basis = groebner(ideal)
+        assert variety_is_only_origin(ideal) == (
+            is_unit_ideal(basis) or _only_origin_homogeneous(basis)
+        )
