@@ -12,7 +12,6 @@ Elements are plain coordinate tuples over the natural basis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -115,32 +114,6 @@ class EvolutionAlgebra:
     def null_space(self) -> Subspace:
         """ker M: the linear relations among the squares e_i^2 (columns of M)."""
         return self._held("null_space", lambda: kernel_basis(self.M))
-
-    def circuits(self) -> tuple[int, ...]:
-        """Circuits of the column matroid of M (minimal sets of basis indices
-        whose squares are linearly dependent), as bitmasks, ascending by size
-        and then by value.
-
-        A circuit is the support of a nonzero x in ker M of minimal support.
-        Such an x is fixed up to scale by its zeros: on some nullity - 1 of
-        them the columns of the kernel basis have rank nullity - 1.  So each
-        (nullity - 1)-set T of indices on which those columns are independent
-        gives one circuit, the support of the kernel vector vanishing on T,
-        and every circuit arises this way.
-        """
-        return self._held("circuits", self._circuits)
-
-    def _circuits(self) -> tuple[int, ...]:
-        kern = self.null_space().basis
-        if not kern.rows:
-            return ()
-        found: set[int] = set()
-        for zeros in itertools.combinations(range(self.n), kern.rows - 1):
-            normal = kernel_basis(Mat.from_rows([kern.col(t) for t in zeros], cols=kern.rows))
-            if normal.dim == 1:
-                x = Mat.from_rows([normal.basis.row(0)]) * kern
-                found.add(sum(1 << q for q, c in enumerate(x.entries) if c))
-        return tuple(sorted(found, key=lambda mask: (mask.bit_count(), mask)))
 
     def ideal_generated_by(self, x: Sequence[Rat]) -> Subspace:
         """Smallest ideal containing x.

@@ -3,14 +3,16 @@
 Every engine is exact over Q, and every ``yes`` or ``no`` is definite; a
 verdict is ``undetermined`` only when an engine limit is hit.
 
-Degeneracy is decided by enumerating supports: for a fixed support the
-absolute-zero-divisor condition is linear.  Column i of M is e_i^2, so for x
-supported exactly on gamma, x * e_j^2 is a combination of the columns of M on
-gamma.  When those columns are linearly independent, x * e_j^2 = 0 for all j
-in gamma forces M[q][j] = 0 on gamma, so each of its singletons already holds
-a witness.  The scan therefore visits the singletons and then the supports
-that are dependent in the column matroid of M; a perfect algebra (M
-nonsingular) has none, so degeneracy checks its n singletons.
+Degeneracy is decided over supports: x e_c = x_c e_c^2, so (x e_c) x =
+x_c M (col_c o x) with o the coordinatewise product, and for x supported
+exactly on gamma the condition is the linear system x * e_j^2 = 0 for j in
+gamma.  The witness is the first kernel vector of the first support, in
+size-then-lexicographic order, with a nontrivial kernel.  It is found in
+three steps (see ``degeneracy``): a vertex without a loop; else ``no`` for a
+perfect algebra; else a search over the larger supports, size by size in
+lexicographic order.  The search prunes a node whose kernel forces an
+included coordinate to zero: no smaller support holds a witness, so a
+witness of the current size has full support and would lie in that kernel.
 
 Semiprimeness is decided one vertex at a time: A is semiprime iff no vertex
 v has e_j^2 e_k^2 = 0 for all j, k reachable from v (see ``semiprime``).  A
@@ -99,13 +101,15 @@ def is_zero_annihilator(A: EvolutionAlgebra) -> bool:
     return sinkless
 
 
-def _support_system(A: EvolutionAlgebra, gamma: Sequence[int]) -> Subspace:
+def _support_system(
+    A: EvolutionAlgebra, gamma: Sequence[int], targets: Sequence[int]
+) -> Subspace:
     """Coordinates on gamma of the x supported there with x * e_j^2 = 0 for
-    every j in gamma: the kernel of the rows M[q][j] * M[m][q] over q in
+    every j in targets: the kernel of the rows M[q][j] * M[m][q] over q in
     gamma, one row per (j, m) in that order, all-zero rows dropped."""
     n = A.n
     rows = []
-    for j in gamma:
+    for j in targets:
         for m in range(n):
             row = [A.M.at(q, j) * A.M.at(m, q) for q in gamma]
             if any(row):
@@ -122,28 +126,6 @@ def _embed(n: int, gamma: Sequence[int], compact: Sequence[Rat]) -> Vec:
     return tuple(out)
 
 
-def _dependent_supports(A: EvolutionAlgebra):
-    """Supports on which the columns of M are linearly dependent, ascending by
-    size then lexicographically.
-
-    A support is dependent iff it contains a circuit of ``A.circuits()``, so
-    each size is built as the supersets of the circuits: an independent
-    support is never produced, and a perfect algebra has no circuits.
-    """
-    n = A.n
-    circuits = A.circuits()
-    for size in range(1, n + 1):
-        masks: set[int] = set()
-        for circuit in circuits:
-            extra = size - circuit.bit_count()
-            if extra < 0:
-                break
-            rest = [q for q in range(n) if not circuit >> q & 1]
-            for more in itertools.combinations(rest, extra):
-                masks.add(circuit | sum(1 << q for q in more))
-        yield from sorted(tuple(q for q in range(n) if mask >> q & 1) for mask in masks)
-
-
 def _support_witnesses(A: EvolutionAlgebra, supports):
     """Yields one witness per support with a nontrivial kernel, in the order
     of ``supports``.
@@ -152,7 +134,7 @@ def _support_witnesses(A: EvolutionAlgebra, supports):
     dividing by x_i leaves the linear system x * e_i^2 = 0 on gamma.
     """
     for gamma in supports:
-        kern = _support_system(A, gamma)
+        kern = _support_system(A, gamma, gamma)
         if kern.dim:
             yield _embed(A.n, gamma, kern.basis.row(0))
 
@@ -177,15 +159,19 @@ def degeneracy(
 
     The linear engine is complete over Q: per support the system is linear, so
     a nontrivial kernel yields a rational witness and empty kernels everywhere
-    are conclusive.  The first support with a nontrivial kernel holds only
-    full-support solutions (a solution on a smaller support solves that
-    support's own system, which comes earlier), so it is a singleton or its
-    columns of M are dependent: on independent columns, x * e_j^2 = 0 for j
-    in gamma forces M[q][j] = 0 on gamma, and then every singleton of gamma
-    is a witness.  The scan visits just those supports
-    (``degeneracy_witnesses`` visits all of them).  The groebner engine
-    decides the same question from the symbolic square of the
-    left-multiplication matrix.
+    are conclusive.  It returns the witness ``degeneracy_witnesses`` lists
+    first, in three steps:
+
+    1. If M[i][i] = 0, then e_i is a witness (the singleton system of {i} has
+       the rows M[i][i] M[m][i]); the first such i is reported.
+    2. Otherwise, if M is nonsingular, there is none: for c in supp(x),
+       (x e_c) x = 0 puts col_c o x in ker M = 0, but its coordinate c is
+       M[c][c] x_c != 0 (``nondegenerate_perfect_check``).
+    3. Otherwise ``_ordered_witness`` searches the supports of each size from
+       2 up, in lexicographic order, pruned by support kernels.
+
+    The groebner engine decides the same question from the symbolic square
+    of the left-multiplication matrix.
     """
     if engine not in ("linear", "groebner"):
         raise ValueError(f"unknown degeneracy engine {engine!r}")
@@ -206,19 +192,53 @@ def degeneracy(
 
 
 def _first_azd_witness(A: EvolutionAlgebra) -> Optional[Vec]:
-    # a dependent singleton is a zero column, hence loop-free: the singleton
-    # scan in front has already stopped at it
-    supports = itertools.chain(((i,) for i in range(A.n)), _dependent_supports(A))
-    witness = next(_support_witnesses(A, supports), None)
+    loop_free = next((i for i in range(A.n) if A.M.at(i, i) == 0), None)
+    if loop_free is not None:
+        witness = A.basis_element(loop_free)
+    elif A.is_perfect():
+        return None
+    else:
+        sizes = range(2, A.n + 1)
+        witness = next(filter(None, (_ordered_witness(A, size) for size in sizes)), None)
     if witness is not None and not is_absolute_zero_divisor(A, witness):
         raise RuntimeError("internal error: witness failed re-verification")
     return witness
 
 
+def _ordered_witness(
+    A: EvolutionAlgebra, size: int, included: tuple[int, ...] = (), c: int = 0
+) -> Optional[Vec]:
+    """Step 3 of ``degeneracy``: the first witness, in lexicographic order,
+    on a support of ``size`` vertices that contains ``included`` and
+    otherwise lies in c..n-1, given that no smaller support holds one.
+
+    A node solves the system of the targets ``included`` on ``included`` +
+    c..n-1; once ``included`` has ``size`` vertices the rest are excluded,
+    so that is the support's own system.  A witness on a support S between
+    the two has full support, since no smaller support holds one, and it
+    solves the node's system; so a node on whose kernel some included
+    coordinate vanishes holds none and is pruned.  The search branches on
+    c, including it first, so the leaves come in lexicographic order.
+    """
+    n = A.n
+    if len(included) + n - c < size:
+        return None
+    if len(included) == size:
+        c = n
+    kern = _support_system(A, included + tuple(range(c, n)), included)
+    if any(not any(kern.basis.col(pos)) for pos in range(len(included))):
+        return None
+    if c == n:
+        return _embed(n, included, kern.basis.row(0))
+    return (_ordered_witness(A, size, included + (c,), c + 1)
+            or _ordered_witness(A, size, included, c + 1))
+
+
 def nondegenerate_perfect_check(A: EvolutionAlgebra) -> bool:
     """For perfect algebras, nondegeneracy amounts to every vertex carrying a
     loop: a loop-free vertex gives a singleton zero principal pattern, and a
-    zero principal pattern forces a zero diagonal."""
+    zero principal pattern forces a zero diagonal.  Step 2 of ``degeneracy``
+    relies on this: a perfect algebra with every loop is ``no`` unscanned."""
     if not A.is_perfect():
         raise ValueError("check requires a perfect algebra")
     return all(A.M.at(i, i) != 0 for i in range(A.n))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evolalg import analysis, graph as G
+from evolalg import algebra, analysis, graph as G
 from evolalg.algebra import support
 from evolalg.errors import EngineLimitError
 from evolalg.exactla import Mat, Rat, Subspace, vec, vec_is_zero
@@ -30,6 +30,20 @@ def algebras(max_dim=4, min_dim=1):
             st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n
         ).map(alg)
     )
+
+
+@st.composite
+def singular_products(draw):
+    """Rows of M = B C with B n x r, C r x n, r < n and entries in -2..2."""
+    n = draw(st.integers(2, 6))
+    r = draw(st.integers(1, n - 1))
+
+    def matrix(rows, cols):
+        row = st.lists(st.integers(-2, 2), min_size=cols, max_size=cols)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    b, c = matrix(n, r), matrix(r, n)
+    return [[sum(b[i][k] * c[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
 
 
 class TestZeroAnnihilator:
@@ -115,6 +129,50 @@ class TestDegeneracy:
             analysis.degeneracy(a, engine="groebner").state
             == analysis.degeneracy(a, engine="linear").state
         )
+
+    @given(singular_products().filter(lambda rows: all(row[i] for i, row in enumerate(rows))))
+    @settings(max_examples=60, deadline=None)
+    def test_ordered_search_matches_reference_on_singular_loops(self, rows):
+        # M = B C has rank below n and a loop at every vertex, so the first
+        # witness comes from the ordered search, not a loop-free vertex or
+        # the perfect case
+        a = alg(rows)
+        assert analysis._first_azd_witness(a) == (analysis.degeneracy_witnesses(a) or [None])[0]
+
+    def test_tridiagonal_nullity_one_prunes_the_scan(self, monkeypatch):
+        # 2 on the diagonal, 1 beside it, column 7 = column 6 + column 8:
+        # every support kernel is trivial, and the search prunes early
+        n = 14
+        rows = [[2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(n)]
+                for i in range(n)]
+        for row in rows:
+            row[7] = row[6] + row[8]
+        systems = []
+        original = analysis._support_system
+        monkeypatch.setattr(
+            analysis, "_support_system", lambda *args: systems.append(args) or original(*args)
+        )
+        a = alg(rows)
+        assert not a.is_perfect()
+        assert analysis.degeneracy(a).state == "no"
+        assert len(systems) <= 200
+
+    def test_disjoint_pairs_find_the_first_pair(self, monkeypatch):
+        # 8 blocks [[1, 1], [1, 1]]: ker M has dimension 8 and the first
+        # witness is e1 - e2
+        n = 16
+        rows = [[1 if i // 2 == j // 2 else 0 for j in range(n)] for i in range(n)]
+        kernels = []
+        for owner in (analysis, algebra):
+            original = owner.kernel_basis
+            monkeypatch.setattr(
+                owner, "kernel_basis", lambda m, _f=original: kernels.append(m) or _f(m)
+            )
+        v = analysis.degeneracy(alg(rows))
+        assert v.state == "yes"
+        assert v.certificate == "support-kernel support=[0, 1]"
+        assert v.witness == vec([1, -1] + [0] * (n - 2))
+        assert len(kernels) <= 5
 
 
 class TestNondegeneratePerfectCheck:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from evolalg import algebra, analysis, cli, graph as graphmod, poly
-from evolalg.algebra import EvolutionAlgebra
 from evolalg.exactla import Rat
 
 from conftest import (
@@ -406,8 +405,9 @@ class TestOneAnalysisPerReport:
         analysis.prime_ideals(a)
         assert len(calls) == 1 and calls[0] is a
 
-    def test_perfect_algebra_scans_only_singletons(self, monkeypatch):
-        # tridiagonal 1, 2, 1 has determinant n + 1 and a loop at every vertex
+    def test_perfect_algebra_solves_no_support_system(self, monkeypatch):
+        # tridiagonal 1, 2, 1 has determinant n + 1 and a loop at every
+        # vertex, so the loops and is_perfect decide degeneracy
         n = 11
         rows = [[2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(n)]
                 for i in range(n)]
@@ -415,19 +415,19 @@ class TestOneAnalysisPerReport:
         original_system = analysis._support_system
         monkeypatch.setattr(
             analysis, "_support_system",
-            lambda A, gamma: systems.append(gamma) or original_system(A, gamma),
+            lambda *args: systems.append(args) or original_system(*args),
         )
         a = alg(rows)
         report = cli.build_report(a, cli.render_algebra_file(a))
         assert a.is_perfect()
         assert report["verdicts"]["degenerate"]["state"] == "no"
         assert report["verdicts"]["semiprime"]["state"] == "yes"
-        assert systems == [(i,) for i in range(n)]
+        assert systems == []
 
     def test_nullity_one_semiprime_visits_supersets_of_the_circuit(self, monkeypatch):
         # columns 2 and 3 are equal, so ker M is spanned by e3 - e4; the
-        # closure test decides semiprime without that kernel, its circuits
-        # or any support system
+        # closure test decides semiprime without that kernel, the ordered
+        # degeneracy search or any support system
         a = alg([
             [2, 0, 1, 1, 1, 0],
             [1, 1, 1, 1, -1, 0],
@@ -441,7 +441,7 @@ class TestOneAnalysisPerReport:
             (analysis, "_support_system"),
             (analysis, "kernel_basis"),
             (algebra, "kernel_basis"),
-            (EvolutionAlgebra, "circuits"),
+            (analysis, "_ordered_witness"),
             (poly, "groebner"),
         ):
             original = getattr(owner, name)
@@ -454,16 +454,17 @@ class TestOneAnalysisPerReport:
 
     def test_rank_deficient_report_enumerates_no_circuits(self, monkeypatch):
         # M = B C with B 12 x 6 (row 0 zero, so vertex 0 is loop-free) and
-        # C 6 x 12: rank 6, and ker M has 787 circuits
+        # C 6 x 12: rank 6, and ker M has 787 circuits; the loop-free vertex
+        # ends the check before the ordered search
         rng = random.Random(1)
         b = [[0] * 6] + [[rng.randint(-3, 3) for _ in range(6)] for _ in range(11)]
         c = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(6)]
         rows = [[sum(b[i][k] * c[k][j] for k in range(6)) for j in range(12)]
                 for i in range(12)]
         enumerated = []
-        original = EvolutionAlgebra._circuits
+        original = analysis._ordered_witness
         monkeypatch.setattr(
-            EvolutionAlgebra, "_circuits", lambda self: enumerated.append(self) or original(self)
+            analysis, "_ordered_witness", lambda *args: enumerated.append(args) or original(*args)
         )
         a = alg(rows)
         report = cli.build_report(a, cli.render_algebra_file(a))
