@@ -46,7 +46,7 @@ YES = "yes"
 NO = "no"
 UNDETERMINED = "undetermined"
 
-DEFAULT_SUPPORT_BOUND = 16
+DEFAULT_SUPPORT_BOUND = 16  # dimension cap of degeneracy and semiprime
 DEFAULT_CENTROID_BOUND = 1024  # unknowns in the centralizer system
 
 
@@ -142,20 +142,20 @@ def _support_witnesses(A: EvolutionAlgebra, supports):
 def degeneracy_witnesses(A: EvolutionAlgebra) -> list[Vec]:
     """One canonical absolute zero divisor per support whose system has
     nontrivial kernel (the first kernel basis vector)."""
+    _check_support_bound(A)
+    return list(_support_witnesses(A, iter_supports(A.n)))
+
+
+def _check_support_bound(A: EvolutionAlgebra):
     if A.n > DEFAULT_SUPPORT_BOUND:
         raise EngineLimitError(
             f"support bound exceeded: n={A.n} > {DEFAULT_SUPPORT_BOUND}"
         )
-    return list(_support_witnesses(A, iter_supports(A.n)))
 
 
-def degeneracy(
-    A: EvolutionAlgebra,
-    *,
-    engine: str = "linear",
-    support_bound: int = DEFAULT_SUPPORT_BOUND,
-) -> Verdict3:
-    """Existence of a nonzero absolute zero divisor.
+def degeneracy(A: EvolutionAlgebra, *, engine: str = "linear") -> Verdict3:
+    """Existence of a nonzero absolute zero divisor, for n up to
+    ``DEFAULT_SUPPORT_BOUND`` (``EngineLimitError`` beyond it).
 
     The linear engine is complete over Q: per support the system is linear, so
     a nontrivial kernel yields a rational witness and empty kernels everywhere
@@ -175,8 +175,7 @@ def degeneracy(
     """
     if engine not in ("linear", "groebner"):
         raise ValueError(f"unknown degeneracy engine {engine!r}")
-    if A.n > support_bound:
-        raise EngineLimitError(f"support bound exceeded: n={A.n} > {support_bound}")
+    _check_support_bound(A)
     if engine == "groebner":
         nondeg = polymod.variety_is_only_origin(polymod.n2_ideal(A))
         if nondeg:
@@ -244,8 +243,9 @@ def nondegenerate_perfect_check(A: EvolutionAlgebra) -> bool:
     return all(A.M.at(i, i) != 0 for i in range(A.n))
 
 
-def semiprime(A: EvolutionAlgebra, *, support_bound: int = DEFAULT_SUPPORT_BOUND) -> Verdict3:
-    """Absence of nonzero ideals with zero square.
+def semiprime(A: EvolutionAlgebra) -> Verdict3:
+    """Absence of nonzero ideals with zero square, for n up to
+    ``DEFAULT_SUPPORT_BOUND`` (``EngineLimitError`` beyond it).
 
     Call a vertex v isotropic when e_j^2 e_k^2 = 0 for all j, k in reach(v)
     (which contains v).  A is semiprime iff no vertex is isotropic, over any
@@ -268,8 +268,7 @@ def semiprime(A: EvolutionAlgebra, *, support_bound: int = DEFAULT_SUPPORT_BOUND
     through ``prime_ideals`` (the quotient by the empty hereditary set is A
     itself).
     """
-    if A.n > support_bound:
-        raise EngineLimitError(f"support bound exceeded: n={A.n} > {support_bound}")
+    _check_support_bound(A)
     return A._held("semiprime", lambda: _semiprime(A))
 
 
@@ -310,7 +309,7 @@ def _verify_zero_square_ideal(A: EvolutionAlgebra, ideal: Subspace):
                 raise RuntimeError("internal error: witness is not an ideal")
 
 
-def prime(A: EvolutionAlgebra, *, support_bound: int = DEFAULT_SUPPORT_BOUND) -> Verdict3:
+def prime(A: EvolutionAlgebra) -> Verdict3:
     """Primeness.
 
     A prime algebra has a downward directed graph, so that check is an
@@ -321,7 +320,7 @@ def prime(A: EvolutionAlgebra, *, support_bound: int = DEFAULT_SUPPORT_BOUND) ->
         return Verdict3.no("graph-not-downward-directed")
     if A.is_perfect():
         return Verdict3.yes("perfect-and-downward-directed")
-    sp = semiprime(A, support_bound=support_bound)
+    sp = semiprime(A)
     if sp.is_yes:
         return Verdict3.yes("semiprime-and-downward-directed")
     return Verdict3.no("not-semiprime", sp.witness)
@@ -333,9 +332,7 @@ class PrimeIdealsResult:
     rejected: tuple[tuple[frozenset[int], str], ...]
 
 
-def prime_ideals(
-    A: EvolutionAlgebra, *, support_bound: int = DEFAULT_SUPPORT_BOUND
-) -> PrimeIdealsResult:
+def prime_ideals(A: EvolutionAlgebra) -> PrimeIdealsResult:
     """All prime ideals, as basic ideals on hereditary sets.
 
     A hereditary set H yields a prime ideal exactly when the quotient graph is
@@ -350,7 +347,7 @@ def prime_ideals(
             continue  # the whole algebra is not a proper ideal
         if not graphmod.is_downward_directed(graphmod.quotient(g, h)):
             rejected.append((h, "quotient-not-downward-directed"))
-        elif semiprime(A.quotient_by_basic(h), support_bound=support_bound).is_yes:
+        elif semiprime(A.quotient_by_basic(h)).is_yes:
             primes.append(A.basic_ideal(h))
         else:
             rejected.append((h, "quotient-not-semiprime"))

@@ -11,7 +11,8 @@ Algebra file format (JSON object):
 ``matrix`` is the structure matrix: row j, column i holds the coefficient of
 basis vector j in the square of basis vector i (so column i is the square of
 basis vector i).  Entries are integers or exact fraction strings like
-``"-2/3"``; floats are rejected to keep everything exact.
+``"-2/3"``; floats, and decimal or exponent strings, are rejected to keep
+everything exact.
 
 Commands: analyze, graph, prime-ideals, centroid, decompose, series, element,
 random.  Exit codes: 0 all verdicts determined, 1 input or usage error, 2 an
@@ -67,6 +68,10 @@ def parse_algebra_text(text: str, source: str = "<input>") -> tuple[EvolutionAlg
         raise AlgebraFileError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise AlgebraFileError(f"{source}: invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # e.g. an integer past the int conversion digit limit
+        raise AlgebraFileError(f"{source}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise AlgebraFileError(f"{source}: top level must be a JSON object")
     basis = data.get("basis")
@@ -104,6 +109,10 @@ def load_algebra(path: str) -> tuple[EvolutionAlgebra, dict]:
             text = fh.read()
     except OSError as exc:
         raise AlgebraFileError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise AlgebraFileError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
     return parse_algebra_text(text, source=path)
 
 
@@ -196,13 +205,7 @@ def _verdict_json(v: Verdict3) -> dict:
     return {"state": v.state, "certificate": v.certificate, "witness": _witness_json(v.witness)}
 
 
-def build_report(
-    A: EvolutionAlgebra,
-    echo: dict,
-    *,
-    engine: str = "linear",
-    support_bound: int = analysis.DEFAULT_SUPPORT_BOUND,
-) -> dict:
+def build_report(A: EvolutionAlgebra, echo: dict, *, engine: str = "linear") -> dict:
     """Run every engine and collect the machine-readable report."""
     limits: list[str] = []
 
@@ -214,17 +217,11 @@ def build_report(
             limits.append(str(exc))
             return on_limit(f"engine-limit: {exc}")
 
-    degenerate = guarded(
-        lambda: analysis.degeneracy(A, engine=engine, support_bound=support_bound),
-        Verdict3.undetermined,
-    )
-    semi = guarded(
-        lambda: analysis.semiprime(A, support_bound=support_bound), Verdict3.undetermined
-    )
-    pr = guarded(lambda: analysis.prime(A, support_bound=support_bound), Verdict3.undetermined)
+    degenerate = guarded(lambda: analysis.degeneracy(A, engine=engine), Verdict3.undetermined)
+    semi = guarded(lambda: analysis.semiprime(A), Verdict3.undetermined)
+    pr = guarded(lambda: analysis.prime(A), Verdict3.undetermined)
     prime_ideals_json = guarded(
-        lambda: _prime_ideals_json(A, analysis.prime_ideals(A, support_bound=support_bound)),
-        lambda note: {"error": note},
+        lambda: _prime_ideals_json(A, analysis.prime_ideals(A)), lambda note: {"error": note}
     )
 
     radical, asi = analysis.absorption(A)
@@ -269,7 +266,7 @@ def build_report(
         },
         "engine": {
             "degeneracy_engine": engine,
-            "support_bound": support_bound,
+            "support_bound": analysis.DEFAULT_SUPPORT_BOUND,
             "limits_hit": limits,
             "undetermined_present": bool(limits),
         },
@@ -350,22 +347,6 @@ def _add_json_flag(sp):
     sp.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
-    return value
-
-
-def _add_engine_flags(sp):
-    sp.add_argument(
-        "--support-bound",
-        type=_non_negative_int,
-        default=analysis.DEFAULT_SUPPORT_BOUND,
-        help="max dimension for support enumeration engines",
-    )
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, like other input errors; exit 2 means an engine limit."""
 
@@ -390,7 +371,6 @@ def make_parser() -> argparse.ArgumentParser:
         default="linear",
         help="degeneracy engine",
     )
-    _add_engine_flags(sp)
 
     sp = sub.add_parser("graph", help="print the associated graph as DOT")
     _add_input(sp)
@@ -398,7 +378,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("prime-ideals", help="list all prime ideals")
     _add_input(sp)
     _add_json_flag(sp)
-    _add_engine_flags(sp)
 
     sp = sub.add_parser("centroid", help="compute a basis of the centroid")
     _add_input(sp)
@@ -429,7 +408,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     A, echo = load_algebra(args.file)
-    report = build_report(A, echo, engine=args.engine, support_bound=args.support_bound)
+    report = build_report(A, echo, engine=args.engine)
     if args.json:
         sys.stdout.write(report_to_json(report))
     else:
@@ -445,7 +424,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_prime_ideals(args) -> int:
     A, _ = load_algebra(args.file)
-    res = analysis.prime_ideals(A, support_bound=args.support_bound)
+    res = analysis.prime_ideals(A)
     payload = _prime_ideals_json(A, res)
     if args.json:
         sys.stdout.write(report_to_json(payload))

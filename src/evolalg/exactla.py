@@ -9,6 +9,7 @@ across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -19,15 +20,24 @@ Vec = tuple[Rat, ...]
 ZERO = Rat(0)
 ONE = Rat(1)
 
+_RATIONAL_TEXT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+
 
 def rat(value) -> Rat:
-    """Coerce an int, a Fraction, or a string like ``"3"`` / ``"-2/5"``."""
+    """Coerce an int, a Fraction, or a string like ``"3"`` / ``"-2/5"``.
+
+    A string must be an integer or ``p/q``: ``Fraction`` would also take
+    decimal and exponent forms, and ``"1e100000000"`` is a 100-million-digit
+    integer."""
     if isinstance(value, Rat):
         return value
     if isinstance(value, int):
         return Rat(value)
     if isinstance(value, str):
-        return Rat(value)
+        match = _RATIONAL_TEXT.fullmatch(value)
+        if not match:
+            raise ValueError(f"not an integer or 'p/q' string: {value!r}")
+        return Rat(int(match[1]), int(match[2] or 1))
     if isinstance(value, float):
         raise TypeError("floats are not exact; use an int or a 'p/q' string")
     raise TypeError(f"not an exact rational: {value!r}")

@@ -74,9 +74,10 @@ class TestDegeneracy:
     def test_semi4_degenerate(self, semi4):
         assert analysis.degeneracy(semi4).state == "yes"
 
-    def test_support_bound(self, complete2):
-        with pytest.raises(EngineLimitError):
-            analysis.degeneracy(complete2, support_bound=1)
+    def test_support_bound(self, complete2, monkeypatch):
+        monkeypatch.setattr(analysis, "DEFAULT_SUPPORT_BOUND", 1)
+        with pytest.raises(EngineLimitError, match=r"^support bound exceeded: n=2 > 1$"):
+            analysis.degeneracy(complete2)
 
     def test_groebner_engine_agrees_on_examples(self):
         for rows in (
@@ -233,9 +234,10 @@ class TestSemiprime:
         v = analysis.semiprime(alg([[0]]))
         assert v.state == "no" and v.witness == Subspace.full(1)
 
-    def test_support_bound(self, complete2):
-        with pytest.raises(EngineLimitError):
-            analysis.semiprime(complete2, support_bound=1)
+    def test_support_bound(self, complete2, monkeypatch):
+        monkeypatch.setattr(analysis, "DEFAULT_SUPPORT_BOUND", 1)
+        with pytest.raises(EngineLimitError, match=r"^support bound exceeded: n=2 > 1$"):
+            analysis.semiprime(complete2)
 
     @given(algebras())
     @settings(max_examples=40, deadline=None)

@@ -51,8 +51,12 @@ class TestParse:
             cli.parse_algebra_text('{"basis": ["a"], "matrix": [[1], [2]]}')
 
     def test_bad_rational_has_position(self):
-        with pytest.raises(cli.AlgebraFileError, match=r"row 0, column 1"):
-            cli.parse_algebra_text('{"basis": ["a", "b"], "matrix": [[1, "x"], [0, 1]]}')
+        # exponent and decimal strings are outside the 'p/q' format; "1e5000"
+        # would otherwise become a 5001-digit integer
+        for entry in ("x", "1e5000", "1.5"):
+            text = json.dumps({"basis": ["a", "b"], "matrix": [[1, entry], [0, 1]]})
+            with pytest.raises(cli.AlgebraFileError, match=r"bad rational at row 0, column 1"):
+                cli.parse_algebra_text(text)
 
     def test_float_rejected(self):
         with pytest.raises(cli.AlgebraFileError, match=r"row 0, column 0"):
@@ -170,10 +174,23 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_bad_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{", "invalid JSON at line 1, column 2"),
+            (b"\xff\xfe{}", "not UTF-8 text"),
+            (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nested too deeply"),
+            (b'{"basis": ["a"], "matrix": [[' + b"1" * 5000 + b"]]}", "invalid JSON:"),
+        ],
+        ids=["truncated", "not-utf8", "deep-nesting", "long-integer"],
+    )
+    def test_bad_file(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.json"
-        path.write_text("{")
+        path.write_bytes(content)
         assert cli.main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: {message}")
+        assert captured.out == ""
 
     def test_zero_dimensional_input(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
@@ -291,9 +308,9 @@ class TestUsageErrors:
         [
             ["analyze", str(DATA / "complete_pair.json"), "--engine", "nope"],
             ["analyze"],
-            ["analyze", str(DATA / "complete_pair.json"), "--support-bound", "-1"],
+            ["analyze", str(DATA / "complete_pair.json"), "--support-bound", "16"],
             ["analyze", str(DATA / "complete_pair.json"), "--height-cap", "3"],
-            ["prime-ideals", str(DATA / "complete_pair.json"), "--support-bound", "-1"],
+            ["prime-ideals", str(DATA / "complete_pair.json"), "--support-bound", "16"],
             [],
         ],
     )
@@ -304,10 +321,15 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
-    def test_zero_bounds_are_accepted(self, capsys):
+    def test_zero_bounds_are_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "DEFAULT_SUPPORT_BOUND", 0)
         path = str(DATA / "complete_pair.json")
-        assert cli.main(["analyze", path, "--support-bound", "0"]) == 2
+        assert cli.main(["analyze", path]) == 2
         assert "support bound exceeded: n=2 > 0" in capsys.readouterr().out
+        assert cli.main(["prime-ideals", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "engine limit: support bound exceeded: n=2 > 0\n"
+        assert captured.out == ""
 
     def test_help_exits_zero(self, capsys):
         for args in (["--help"], ["analyze", "--help"]):
