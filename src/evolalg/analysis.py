@@ -338,14 +338,20 @@ def prime_ideals(A: EvolutionAlgebra) -> PrimeIdealsResult:
     A hereditary set H yields a prime ideal exactly when the quotient graph is
     downward directed and the quotient algebra is semiprime; every other
     proper hereditary set is listed as rejected, with the reason.
+
+    The quotient graph is the graph induced on U = V - H, and U is closed
+    under ancestors.  By ``graph.is_downward_directed`` that graph is
+    downward directed iff U = anc(v) for some v: each u in anc(v) reaches v
+    inside anc(v); and a v reached from all of U has U within anc(v) within
+    U.  So the candidates are the sets V - anc(v): V is never one (v is in
+    anc(v)), and the empty set is one iff the graph is downward directed.
     """
     g = A.graph()
+    candidates = {frozenset(range(A.n)) - a for a in graphmod.ancestors(g)}
     primes: list[BasicIdeal] = []
     rejected: list[tuple[frozenset[int], str]] = []
-    for h in graphmod.hereditary_subsets(g):
-        if len(h) == A.n:
-            continue  # the whole algebra is not a proper ideal
-        if not graphmod.is_downward_directed(graphmod.quotient(g, h)):
+    for h in graphmod.hereditary_subsets(g)[:-1]:  # the last, V, is not proper
+        if h not in candidates:
             rejected.append((h, "quotient-not-downward-directed"))
         elif semiprime(A.quotient_by_basic(h)).is_yes:
             primes.append(A.basic_ideal(h))
@@ -382,9 +388,8 @@ def absorption(A: EvolutionAlgebra) -> tuple[Subspace, int]:
 
 
 def has_absorption(A: EvolutionAlgebra, vertices: Iterable[int]) -> bool:
-    """A basic ideal absorbs exactly when the quotient graph is sinkless."""
-    h = A.check_hereditary(vertices)
-    return graphmod.is_sinkless(graphmod.quotient(A.graph(), h))
+    """A basic ideal absorbs exactly when the quotient algebra's graph is sinkless."""
+    return graphmod.is_sinkless(A.quotient_by_basic(vertices).graph())
 
 
 def vn_element(A: EvolutionAlgebra, x: Sequence[Rat]) -> Optional[Vec]:

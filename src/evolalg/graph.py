@@ -3,8 +3,8 @@
 The graph of an algebra with structure matrix M has an edge i -> j exactly
 when M[j][i] != 0, i.e. when basis vector j appears in the square of basis
 vector i.  All invariants used by the verdict engines live here: sinks,
-reachability, hereditary subsets, downward directedness, undirected
-components, iterated sink strata, induced quotients, and DOT export.
+reachability, ancestor sets, hereditary subsets, downward directedness,
+undirected components, iterated sink strata, and DOT export.
 """
 
 from __future__ import annotations
@@ -113,13 +113,21 @@ def hereditary_subsets(g: DiGraph) -> list[frozenset[int]]:
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
+def ancestors(g: DiGraph) -> Iterable[frozenset[int]]:
+    """anc(v) for each vertex v in turn: v with every vertex that reaches v."""
+    r = g.reverse()
+    return (reach(r, (v,)) for v in range(g.n))
+
+
 def is_downward_directed(g: DiGraph) -> bool:
-    reaches = [reach(g, (v,)) for v in range(g.n)]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not (reaches[u] & reaches[v]):
-                return False
-    return True
+    """Every two vertices have a common descendant (vacuous when n = 0).
+
+    Equivalently, some vertex v is reached from every vertex: anc(v) = V.
+    Every vertex reaches a terminal strongly connected component, and two of
+    those share no descendant, so a downward directed graph has exactly one
+    and every vertex reaches each of its vertices.
+    """
+    return g.n == 0 or any(len(a) == g.n for a in ancestors(g))
 
 
 def components(g: DiGraph) -> list[list[int]]:
@@ -170,20 +178,6 @@ def sink_strata(g: DiGraph) -> SinkStrata:
         strata.append(layer)
         remaining -= layer
     return SinkStrata(tuple(strata), frozenset(remaining))
-
-
-def quotient(g: DiGraph, removed: Iterable[int]) -> DiGraph:
-    """Induced subgraph on the surviving vertices, renumbered ascending."""
-    removed = frozenset(removed)
-    for v in removed:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    keep = [v for v in range(g.n) if v not in removed]
-    index = {v: k for k, v in enumerate(keep)}
-    adj = tuple(
-        tuple(index[w] for w in g.adj[v] if w not in removed) for v in keep
-    )
-    return DiGraph(len(keep), adj)
 
 
 def is_isolated_loops(g: DiGraph) -> bool:

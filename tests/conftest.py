@@ -4,13 +4,32 @@ Structure matrices follow the package convention: column i holds the
 coordinates of the square of basis vector i.
 """
 
+import itertools
+
 import pytest
 
+from evolalg import graph as G
 from evolalg.algebra import EvolutionAlgebra
 
 
 def alg(rows, labels=None) -> EvolutionAlgebra:
     return EvolutionAlgebra.from_rows(rows, labels)
+
+
+def pairwise_downward_directed(g: G.DiGraph) -> bool:
+    """The definition: the reach sets of every two vertices intersect."""
+    reaches = [G.reach(g, (v,)) for v in range(g.n)]
+    return all(r & s for r, s in itertools.combinations(reaches, 2))
+
+
+def induced_subgraph(g: G.DiGraph, removed) -> G.DiGraph:
+    """The graph induced on the vertices outside ``removed``, renumbered ascending."""
+    removed = set(removed)
+    keep = [v for v in range(g.n) if v not in removed]
+    index = {v: k for k, v in enumerate(keep)}
+    return G.DiGraph.from_edges(
+        len(keep), ((index[i], index[j]) for i, j in g.edges() if i in index and j in index)
+    )
 
 
 # 2-dim, complete graph on two vertices; degenerate, not semiprime

@@ -14,6 +14,7 @@ from conftest import (
     SEMI4_ROWS,
     SINK2_ROWS,
     alg,
+    induced_subgraph,
 )
 
 rationals = st.builds(Rat, st.integers(-3, 3), st.integers(1, 2))
@@ -167,7 +168,12 @@ class TestQuotient:
     def test_quotient_graph_commutes(self, a, data):
         hs = G.hereditary_subsets(a.graph())
         h = data.draw(st.sampled_from(hs))
-        assert a.quotient_by_basic(h).graph() == G.quotient(a.graph(), h)
+        assert a.quotient_by_basic(h).graph() == induced_subgraph(a.graph(), h)
+
+    def test_cascade_first_round(self, cascade8):
+        q = cascade8.quotient_by_basic({6, 7})
+        assert q.n == 6
+        assert G.sinks(q.graph()) == {3}  # the old vertex 3 keeps its position among survivors
 
 
 class TestAnnSeries:

@@ -19,9 +19,11 @@ from conftest import (
     SEMI4_ROWS,
     SINK2_ROWS,
     alg,
+    pairwise_downward_directed,
 )
 
 rationals = st.builds(Rat, st.integers(-3, 3), st.integers(1, 2))
+nonzero_rationals = rationals.filter(bool)
 
 
 def algebras(max_dim=4, min_dim=1):
@@ -30,6 +32,18 @@ def algebras(max_dim=4, min_dim=1):
             st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n
         ).map(alg)
     )
+
+
+@st.composite
+def sparse_algebras(draw, max_dim=7):
+    """At least half of the entries are zero, so the hereditary lattice is rich."""
+    n = draw(st.integers(1, max_dim))
+    cells = [(j, i) for j in range(n) for i in range(n)]
+    nonzero = draw(st.lists(st.sampled_from(cells), max_size=n * n // 2, unique=True))
+    rows = [[0] * n for _ in range(n)]
+    for j, i in nonzero:
+        rows[j][i] = draw(nonzero_rationals)
+    return alg(rows)
 
 
 @st.composite
@@ -343,6 +357,43 @@ class TestPrimeIdeals:
             q = a.quotient_by_basic(b.vertices)
             assert G.is_downward_directed(q.graph())
             assert analysis.semiprime(q).state == "yes"
+
+    @given(sparse_algebras())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_definition(self, a):
+        # every proper hereditary set, classified from its quotient algebra
+        primes, rejected = [], []
+        for h in G.hereditary_subsets(a.graph()):
+            if len(h) == a.n:
+                continue
+            q = a.quotient_by_basic(h)
+            if not pairwise_downward_directed(q.graph()):
+                rejected.append((h, "quotient-not-downward-directed"))
+            elif analysis.semiprime(q).is_yes:
+                primes.append(a.basic_ideal(h))
+            else:
+                rejected.append((h, "quotient-not-semiprime"))
+        assert analysis.prime_ideals(a) == analysis.PrimeIdealsResult(
+            tuple(primes), tuple(rejected)
+        )
+
+    def test_isolated_loops_take_few_reach_sets(self, monkeypatch):
+        # 10 lattice closures, 10 ancestor sets and 3 per candidate (50); a
+        # graph per hereditary set would cost thousands of reach sets
+        calls = []
+        reach = G.reach
+
+        def counting(g, seed):
+            calls.append(1)
+            return reach(g, seed)
+
+        monkeypatch.setattr(G, "reach", counting)
+        res = analysis.prime_ideals(alg([[int(i == j) for j in range(10)] for i in range(10)]))
+        assert [b.vertices for b in res.primes] == [
+            frozenset(range(10)) - {v} for v in reversed(range(10))
+        ]
+        assert len(res.rejected) == 2**10 - 1 - 10
+        assert len(calls) < 100
 
 
 class TestAbsorption:

@@ -16,6 +16,8 @@ from conftest import (
     SINK2_ROWS,
     SINK2B_ROWS,
     alg,
+    induced_subgraph,
+    pairwise_downward_directed,
 )
 
 
@@ -149,9 +151,18 @@ class TestHereditary:
 class TestDownwardDirected:
     def test_examples(self):
         assert G.is_downward_directed(G.from_matrix(Mat.from_rows(COMPLETE2_ROWS)))
-        g5 = alg(LATTICE5_ROWS).graph()
-        assert not G.is_downward_directed(G.quotient(g5, {3, 4}))
+        assert not G.is_downward_directed(alg(LATTICE5_ROWS).quotient_by_basic({3, 4}).graph())
         assert G.is_downward_directed(G.DiGraph.from_edges(1, [(0, 0)]))
+        assert G.is_downward_directed(G.DiGraph(0, ()))
+
+    @given(digraphs())
+    def test_matches_pairwise_definition(self, g):
+        assert G.is_downward_directed(g) == pairwise_downward_directed(g)
+
+    @given(digraphs())
+    def test_ancestors_are_reverse_reach(self, g):
+        for v, anc in enumerate(G.ancestors(g)):
+            assert anc == {u for u in range(g.n) if v in G.reach(g, (u,))}
 
 
 class TestComponents:
@@ -195,7 +206,7 @@ class TestSinkStrata:
             assert not (layer & seen)
             seen |= layer
         assert seen | res.residue == set(range(g.n))
-        assert G.is_sinkless(G.quotient(g, seen))
+        assert G.is_sinkless(induced_subgraph(g, seen))
 
     def test_cascade_stratified_are_the_non_cycle_based_vertices(self):
         # on this graph the two readings coincide: a vertex is stratified
@@ -217,19 +228,6 @@ class TestSinkStrata:
                 based_at_closed_path(g, w) for w in G.reach(g, (v,))
             )
             assert (v in stratified) == (not reaches_cycle)
-
-
-class TestQuotient:
-    def test_cascade_first_round(self):
-        g = alg(CASCADE8_ROWS).graph()
-        q = G.quotient(g, {6, 7})
-        assert q.n == 6
-        assert G.sinks(q) == {3}  # the old vertex 3 keeps its position among survivors
-
-    def test_trivial_cases(self):
-        g = alg(LATTICE5_ROWS).graph()
-        assert G.quotient(g, ()) == g
-        assert G.quotient(g, range(5)).n == 0
 
 
 class TestIsolatedLoops:
