@@ -20,7 +20,7 @@ from .analysis import (
     vn_element,
 )
 from .errors import EngineLimitError
-from .exactla import Mat, Rat, Subspace, Vec, det, kernel_basis, rat, rref, solve, vec
+from .exactla import Mat, Rat, Subspace, Vec, kernel_basis, rat, rref, solve, vec
 from .graph import DiGraph, SinkStrata
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "centroid",
     "decompose",
     "degeneracy",
-    "det",
     "has_absorption",
     "is_absolute_zero_divisor",
     "is_zero_annihilator",

@@ -47,7 +47,7 @@ NO = "no"
 UNDETERMINED = "undetermined"
 
 DEFAULT_SUPPORT_BOUND = 16  # dimension cap of degeneracy and semiprime
-DEFAULT_CENTROID_BOUND = 1024  # unknowns in the centralizer system
+DEFAULT_CENTROID_BOUND = 1024  # cap on n^2, the centroid's unknowns before substitution
 
 
 @dataclass(frozen=True)
@@ -422,10 +422,14 @@ class CentroidBasis:
 def centroid(A: EvolutionAlgebra) -> CentroidBasis:
     """Kernel basis of the centralizer equations in the n^2 unknowns t_ij.
 
-    A linear map commutes with all multiplications iff t_ij e_i^2 = 0 for all
-    i != j and T(e_i^2) = e_i T(e_i) for all i.  Off-diagonal unknowns whose
-    column of M is nonzero are forced to zero and eliminated up front; the
-    remaining homogeneous system is solved exactly.
+    A linear map T commutes with all multiplications iff T(e_i) e_j = 0 for
+    all i != j and T(e_i^2) = T(e_i) e_i for all i.  The first set forces
+    t_ij = 0 for i != j unless e_i^2 = 0; the second, in row k, reads
+    sum_j M[j][i] t_kj = M[k][i] t_ii.  Where e_k^2 != 0 that row is
+    M[k][i] (t_ii - t_kk), so t is constant along every edge i -> k into such
+    a vertex, and the system is solved by substitution along the graph (see
+    ``_centroid``).  With a zero annihilator nothing else is left: the basis
+    is the indicator of each component's diagonal, as the paper says.
 
     The basis is held on A: ``decompose`` asks again for the one summand of a
     connected algebra, which is A itself.
@@ -438,42 +442,41 @@ def centroid(A: EvolutionAlgebra) -> CentroidBasis:
 
 
 def _centroid(A: EvolutionAlgebra) -> CentroidBasis:
+    """Solves the centralizer system in the reduced unknowns: one diagonal
+    unknown per class of the edges into vertices outside D = sinks, at its
+    least vertex, and t_aj for a in D, j != a.  Only the rows of the a in D
+    go to ``kernel_basis``; with a zero annihilator there are none.
+
+    Each unknown stands for its positions in the row-major n x n matrix and
+    the unknowns are ordered by their first position, so expanding the
+    canonical kernel basis copies each value only to later positions: the
+    result is the canonical basis of the full n^2-unknown kernel.
+    """
     n = A.n
-    col_nonzero = [any(A.M.at(k, i) != 0 for k in range(n)) for i in range(n)]
-    unknowns = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i == j or not col_nonzero[i]
-    ]
-    index = {u: pos for pos, u in enumerate(unknowns)}
+    g = A.graph()
+    dead = graphmod.sinks(g)
+    live_edges = ((i, k) for i, k in g.edges() if k not in dead)
+    classes = graphmod.components(graphmod.DiGraph.from_edges(n, live_edges))
+    unknowns = sorted([[v * n + v for v in c] for c in classes]
+                      + [[a * n + j] for a in dead for j in range(n) if j != a])
+    index = {p: u for u, positions in enumerate(unknowns) for p in positions}
+    width = len(unknowns)
     rows = []
-    for i in range(n):
-        for k in range(n):
-            coeffs: dict[int, Rat] = {}
-            w_ki = A.M.at(k, i)
-            if w_ki and (i, i) in index:
-                coeffs[index[(i, i)]] = coeffs.get(index[(i, i)], ZERO) + w_ki
-            for j in range(n):
-                w_ji = A.M.at(j, i)
-                if w_ji and (k, j) in index:
-                    pos = index[(k, j)]
-                    coeffs[pos] = coeffs.get(pos, ZERO) - w_ji
-            if coeffs:
-                row = [ZERO] * len(unknowns)
-                for pos, c in coeffs.items():
-                    row[pos] = c
-                if any(row):
-                    rows.append(row)
-    if rows:
-        kern = kernel_basis(Mat.from_rows(rows, cols=len(unknowns)))
-    else:
-        kern = Subspace.full(len(unknowns))
+    for a in dead:
+        for i in range(n):
+            if i not in dead:
+                row = [ZERO] * width
+                for j in g.adj[i]:
+                    row[index[a * n + j]] += A.M.at(j, i)
+                row[index[i * n + i]] -= A.M.at(a, i)
+                rows.append(row)
+    kern = kernel_basis(Mat.from_rows(rows, cols=width)) if rows else Subspace.full(width)
     mats = []
     for v in kern.basis_vectors():
         entries = [ZERO] * (n * n)
-        for pos, (i, j) in enumerate(unknowns):
-            entries[i * n + j] = v[pos]
+        for value, positions in zip(v, unknowns):
+            for p in positions:
+                entries[p] = value
         mats.append(Mat(n, n, tuple(entries)))
     result = CentroidBasis(len(mats), tuple(mats))
     _verify_centroid(A, result)
@@ -499,8 +502,10 @@ def decompose(A: EvolutionAlgebra) -> list[EvolutionAlgebra]:
 
     One summand per connected component of the graph; entries of M never link
     distinct components, and every summand must come back with a
-    one-dimensional centroid.  Each summand is the quotient by the other
-    components, so a connected algebra gives ``[A]`` and its held centroid.
+    one-dimensional centroid, a check of the substitution in ``_centroid``:
+    a connected summand with zero annihilator is one class.  Each summand is
+    the quotient by the other components, so a connected algebra gives
+    ``[A]`` and its held centroid.
     """
     if not is_zero_annihilator(A):
         raise ValueError("decomposition requires a zero-annihilator algebra")

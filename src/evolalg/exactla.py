@@ -51,6 +51,11 @@ def vec_is_zero(v: Sequence[Rat]) -> bool:
     return all(x == 0 for x in v)
 
 
+def _dot(u: Sequence[Rat], v: Sequence[Rat]) -> Rat:
+    """Inner product; zero factors are skipped, not multiplied."""
+    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
+
+
 @dataclass(frozen=True)
 class Mat:
     """Dense rational matrix, row-major entries."""
@@ -107,11 +112,7 @@ class Mat:
     def matvec(self, v: Sequence[Rat]) -> Vec:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum((self.entries[base + j] * v[j] for j in range(self.cols)), ZERO))
-        return tuple(out)
+        return tuple(_dot(self.row(i), v) for i in range(self.rows))
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
@@ -119,12 +120,8 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         cols = [other.col(j) for j in range(other.cols)]
-        entries = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for c in cols:
-                entries.append(sum((a * b for a, b in zip(r, c) if a and b), ZERO))
-        return Mat(self.rows, other.cols, tuple(entries))
+        entries = tuple(_dot(self.row(i), c) for i in range(self.rows) for c in cols)
+        return Mat(self.rows, other.cols, entries)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -177,36 +174,6 @@ def pivot_columns(reduced: Mat) -> list[int]:
 
 def rank(m: Mat) -> int:
     return len(pivot_columns(rref(m)))
-
-
-def det(m: Mat) -> Rat:
-    """Exact determinant by rational Gaussian elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return ONE
-    rows = m.to_rows()
-    sign = 1
-    result = ONE
-    for col in range(n):
-        pr = None
-        for r in range(col, n):
-            if rows[r][col] != 0:
-                pr = r
-                break
-        if pr is None:
-            return ZERO
-        if pr != col:
-            rows[col], rows[pr] = rows[pr], rows[col]
-            sign = -sign
-        lead = rows[col][col]
-        result *= lead
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] / lead
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return result if sign == 1 else -result
 
 
 def solve(m: Mat, b: Sequence[Rat]) -> Optional[Vec]:

@@ -1,10 +1,13 @@
+import itertools
+
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from evolalg import algebra, analysis, graph as G
 from evolalg.algebra import support
 from evolalg.errors import EngineLimitError
-from evolalg.exactla import Mat, Rat, Subspace, vec, vec_is_zero
+from evolalg.exactla import Mat, Rat, Subspace, kernel_basis, vec, vec_is_zero
 
 from conftest import (
     CASCADE8_ROWS,
@@ -470,6 +473,47 @@ class TestVonNeumann:
 class TestCentroid:
     def test_complete2(self, complete2):
         assert analysis.centroid(complete2).dim == 1
+
+    @given(sparse_algebras(max_dim=5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_definition(self, a, data):
+        """The sympy nullspace of T(e_i e_j) = e_i T(e_j) in all n^2 unknowns,
+        t_kj at k * n + j.  Exactly the columns in ``dead`` of M are zero, so
+        the annihilator is zero when ``dead`` is empty."""
+        n = a.n
+        dead = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
+        rows = [[0 if i in dead else a.M.at(k, i) for i in range(n)] for k in range(n)]
+        for i in range(n):
+            if i not in dead and not any(r[i] for r in rows):
+                rows[data.draw(st.integers(0, n - 1))][i] = 1
+        a = alg(rows)
+        m = [[sympy.Rational(a.M.at(k, i)) for i in range(n)] for k in range(n)]
+        rows = []
+        for i, j, k in itertools.product(range(n), repeat=3):
+            row = [sympy.Integer(0)] * (n * n)
+            if i == j:  # T(e_i^2), coordinate k
+                for q in range(n):
+                    row[k * n + q] += m[q][i]
+            row[i * n + j] -= m[k][i]  # e_i T(e_j) = t_ij e_i^2
+            rows.append(row)
+        theirs = [
+            tuple(Rat(int(c.p), int(c.q)) for c in v)
+            for v in sympy.Matrix(rows).nullspace()
+        ]
+        expected = Subspace.span(theirs, n * n).basis_vectors()
+        assert [t.entries for t in analysis.centroid(a).basis_mats] == expected
+
+    def test_zero_annihilator_solves_no_system(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            analysis, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m)
+        )
+        cycle6 = [[1 if k == (i + 1) % 6 else 0 for i in range(6)] for k in range(6)]
+        assert analysis.centroid(alg(cycle6)).dim == 1
+        assert analysis.centroid(alg(COMPLETE2_ROWS)).dim == 1
+        assert calls == []
+        assert analysis.centroid(alg(SINK2_ROWS)).dim == 2
+        assert len(calls) == 1
 
     def test_two_loops(self):
         cb = analysis.centroid(alg(LOOPS2_ROWS))

@@ -8,7 +8,6 @@ from evolalg.exactla import (
     Mat,
     Rat,
     Subspace,
-    det,
     kernel_basis,
     rank,
     rat,
@@ -68,6 +67,18 @@ class TestRat:
             rat(0.5)
 
 
+class TestProducts:
+    @given(matrices(), st.data())
+    def test_matvec_and_product_match_sympy(self, m, data):
+        v = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
+        sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x) for x in m.entries])
+        sv = sympy.Matrix(m.cols, 1, [sympy.Rational(x) for x in v])
+        expected = tuple(Rat(int(c.p), int(c.q)) for c in sm * sv)
+        assert m.matvec(v) == expected
+        column = Mat.from_rows([[x] for x in v], cols=1)
+        assert (m * column).entries == expected
+
+
 class TestRref:
     def test_rank_one_forcing(self):
         assert rref(Mat.from_rows([[2, 4], [1, 2]])) == Mat.from_rows([[1, 2], [0, 0]])
@@ -105,22 +116,6 @@ class TestRref:
         assert original == reduced
 
 
-class TestDet:
-    def test_frozen_examples(self):
-        assert det(Mat.from_rows([[1, -1], [1, -1]])) == 0
-        assert det(Mat.identity(4)) == 1
-        assert det(Mat.from_rows([[1, 1], [0, 0]])) == 0
-        assert det(Mat(0, 0, ())) == 1
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            det(Mat.from_rows([[1, 2]]))
-
-    @given(square_matrices)
-    def test_matches_permutation_expansion(self, m):
-        assert det(m) == brute_det(m)
-
-
 class TestKernel:
     def test_hand_elimination_example(self):
         k = kernel_basis(Mat.from_rows([[1, -1], [1, -1]]))
@@ -144,7 +139,7 @@ class TestKernel:
 
     @given(square_matrices)
     def test_det_vs_kernel(self, m):
-        assert (det(m) != 0) == (kernel_basis(m).dim == 0)
+        assert (brute_det(m) != 0) == (kernel_basis(m).dim == 0)
 
     @given(matrices())
     @settings(max_examples=40)

@@ -9,10 +9,12 @@ zero pattern.  The census over {-1, 0, 1} splits into 512 zero patterns;
 every 7th of them is checked here with all of its signings (74 patterns,
 2,889 algebras).
 
-Only some checks are independent of the code under test.  The centroid is:
-``analysis.centroid`` solves its linear system with no graph, so its
-dimension meeting the component count is a real check.  ``prime`` and
-``vn_algebra`` read the graph, so their constancy holds by construction;
+Only some checks are independent of the code under test.  ``centroid``,
+``prime`` and ``vn_algebra`` read the graph, so their constancy holds by
+construction: the centroid substitutes along the edges, so with a zero
+annihilator its dimension is the component count.  The independent check of
+the centroid is ``TestCentroid::test_matches_the_definition`` in
+``test_analysis.py``, a sympy nullspace of the full n^2-unknown system;
 ``prime`` is still compared with the definition of downward directedness
 (every two reach sets meet), which also checks ``graph.is_downward_directed``.
 The annihilator and the absorption radical are each computed from the graph
