@@ -12,7 +12,6 @@ from .analysis import (
     has_absorption,
     is_absolute_zero_divisor,
     is_zero_annihilator,
-    nondegenerate_perfect_check,
     prime,
     prime_ideals,
     semiprime,
@@ -46,7 +45,6 @@ __all__ = [
     "is_absolute_zero_divisor",
     "is_zero_annihilator",
     "kernel_basis",
-    "nondegenerate_perfect_check",
     "prime",
     "prime_ideals",
     "rat",

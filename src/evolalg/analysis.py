@@ -77,12 +77,6 @@ class Verdict3:
         return self.state == NO
 
 
-def iter_supports(n: int):
-    """Nonempty candidate supports, ascending by size then lexicographically."""
-    for size in range(1, n + 1):
-        yield from itertools.combinations(range(n), size)
-
-
 def is_absolute_zero_divisor(A: EvolutionAlgebra, x: Sequence[Rat]) -> bool:
     """Direct check that (x e_i) x = 0 for every basis vector."""
     x = A.element(x)
@@ -126,26 +120,6 @@ def _embed(n: int, gamma: Sequence[int], compact: Sequence[Rat]) -> Vec:
     return tuple(out)
 
 
-def _support_witnesses(A: EvolutionAlgebra, supports):
-    """Yields one witness per support with a nontrivial kernel, in the order
-    of ``supports``.
-
-    For x supported on gamma, (x e_i) x = x_i (e_i^2 x) for i in gamma, so
-    dividing by x_i leaves the linear system x * e_i^2 = 0 on gamma.
-    """
-    for gamma in supports:
-        kern = _support_system(A, gamma, gamma)
-        if kern.dim:
-            yield _embed(A.n, gamma, kern.basis.row(0))
-
-
-def degeneracy_witnesses(A: EvolutionAlgebra) -> list[Vec]:
-    """One canonical absolute zero divisor per support whose system has
-    nontrivial kernel (the first kernel basis vector)."""
-    _check_support_bound(A)
-    return list(_support_witnesses(A, iter_supports(A.n)))
-
-
 def _check_support_bound(A: EvolutionAlgebra):
     if A.n > DEFAULT_SUPPORT_BOUND:
         raise EngineLimitError(
@@ -159,14 +133,16 @@ def degeneracy(A: EvolutionAlgebra, *, engine: str = "linear") -> Verdict3:
 
     The linear engine is complete over Q: per support the system is linear, so
     a nontrivial kernel yields a rational witness and empty kernels everywhere
-    are conclusive.  It returns the witness ``degeneracy_witnesses`` lists
-    first, in three steps:
+    are conclusive.  It returns the first kernel vector of the first support,
+    in size-then-lexicographic order, with a nontrivial kernel (the unpruned
+    scan in ``tests/reference.py`` lists them all), in three steps:
 
     1. If M[i][i] = 0, then e_i is a witness (the singleton system of {i} has
        the rows M[i][i] M[m][i]); the first such i is reported.
     2. Otherwise, if M is nonsingular, there is none: for c in supp(x),
        (x e_c) x = 0 puts col_c o x in ker M = 0, but its coordinate c is
-       M[c][c] x_c != 0 (``nondegenerate_perfect_check``).
+       M[c][c] x_c != 0.  So a perfect algebra is nondegenerate iff every
+       vertex has a loop.
     3. Otherwise ``_ordered_witness`` searches the supports of each size from
        2 up, in lexicographic order, pruned by support kernels.
 
@@ -231,16 +207,6 @@ def _ordered_witness(
         return _embed(n, included, kern.basis.row(0))
     return (_ordered_witness(A, size, included + (c,), c + 1)
             or _ordered_witness(A, size, included, c + 1))
-
-
-def nondegenerate_perfect_check(A: EvolutionAlgebra) -> bool:
-    """For perfect algebras, nondegeneracy amounts to every vertex carrying a
-    loop: a loop-free vertex gives a singleton zero principal pattern, and a
-    zero principal pattern forces a zero diagonal.  Step 2 of ``degeneracy``
-    relies on this: a perfect algebra with every loop is ``no`` unscanned."""
-    if not A.is_perfect():
-        raise ValueError("check requires a perfect algebra")
-    return all(A.M.at(i, i) != 0 for i in range(A.n))
 
 
 def semiprime(A: EvolutionAlgebra) -> Verdict3:

@@ -93,10 +93,6 @@ class Mat:
     def identity(n: int) -> "Mat":
         return Mat(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, (ZERO,) * (rows * cols))
-
     def at(self, i: int, j: int) -> Rat:
         return self.entries[i * self.cols + j]
 
@@ -122,9 +118,6 @@ class Mat:
         cols = [other.col(j) for j in range(other.cols)]
         entries = tuple(_dot(self.row(i), c) for i in range(self.rows) for c in cols)
         return Mat(self.rows, other.cols, entries)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "Mat":
         entries = tuple(self.at(i, j) for i in keep_rows for j in keep_cols)
@@ -170,10 +163,6 @@ def pivot_columns(reduced: Mat) -> list[int]:
                 pivots.append(j)
                 break
     return pivots
-
-
-def rank(m: Mat) -> int:
-    return len(pivot_columns(rref(m)))
 
 
 def solve(m: Mat, b: Sequence[Rat]) -> Optional[Vec]:
@@ -272,14 +261,6 @@ class Subspace:
                 f = w[lead]
                 w = [a - f * b for a, b in zip(w, row)]
         return vec_is_zero(w)
-
-    def contains(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.member(v) for v in other.basis_vectors())
-
-    def _check_ambient(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
 
 
 def kernel_basis(m: Mat) -> Subspace:

@@ -188,10 +188,8 @@ def is_isolated_loops(g: DiGraph) -> bool:
     return True
 
 
-def to_dot(g: DiGraph, labels: Sequence[str] | None = None) -> str:
+def to_dot(g: DiGraph, labels: Sequence[str]) -> str:
     """DOT text; labels are quoted DOT IDs, with backslashes and quotes escaped."""
-    if labels is None:
-        labels = [f"v{i}" for i in range(g.n)]
     if len(labels) != g.n:
         raise ValueError("label count does not match vertex count")
     ids = ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in labels]

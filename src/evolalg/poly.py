@@ -18,13 +18,15 @@ their lcm.  The reduction cap counts only the pairs actually reduced.
 as the leading monomials held so far include a constant or a pure power of
 every variable: they all lie in LT(I), so k[x]/I is finite dimensional, and
 a homogeneous ideal with finitely many zeros vanishes only at the origin.
+The tests check this early stop against the verdict read off a completed
+basis (``tests/reference.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import EngineLimitError
 from .exactla import ONE, Rat, ZERO, rat
@@ -79,10 +81,6 @@ class MPoly:
         self.terms = clean
 
     @staticmethod
-    def zero(nvars: int) -> "MPoly":
-        return MPoly(nvars)
-
-    @staticmethod
     def const(nvars: int, c) -> "MPoly":
         return MPoly(nvars, {(0,) * nvars: rat(c)})
 
@@ -92,10 +90,6 @@ class MPoly:
             raise ValueError("variable index out of range")
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return MPoly(nvars, {exps: ONE})
-
-    @staticmethod
-    def monomial(nvars: int, exps: Monom, c=1) -> "MPoly":
-        return MPoly(nvars, {tuple(exps): rat(c)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -188,35 +182,6 @@ class MPoly:
     def is_homogeneous(self) -> bool:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
-
-    def evaluate(self, point: Sequence) -> Rat:
-        if len(point) != self.nvars:
-            raise ValueError("point length does not match variable count")
-        pt = [rat(x) for x in point]
-        total = ZERO
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, m):
-                if e:
-                    v *= x**e
-            total += v
-        return total
-
-    def substitute(self, values: Sequence["MPoly"]) -> "MPoly":
-        """Substitute a polynomial for every variable."""
-        if len(values) != self.nvars:
-            raise ValueError("need one replacement per variable")
-        if not values:
-            return MPoly(0, dict(self.terms))
-        nvars = values[0].nvars
-        out = MPoly.zero(nvars)
-        for m, c in self.terms.items():
-            term = MPoly.const(nvars, c)
-            for v, e in zip(values, m):
-                for _ in range(e):
-                    term = term * v
-            out = out + term
-        return out
 
     def extend(self, nvars: int) -> "MPoly":
         """Reinterpret in a larger ring by padding exponents with zeros."""
@@ -467,18 +432,6 @@ def in_radical(p: MPoly, ideal: PolyIdeal) -> bool:
     return is_unit_ideal(basis)
 
 
-def _only_origin_homogeneous(basis: PolyIdeal) -> bool:
-    """A homogeneous ideal vanishes only at the origin iff the quotient ring is
-    finite dimensional, i.e. every variable has a pure power among the leading
-    monomials of the reduced basis.  The verdict read off a completed basis,
-    which the early stop of ``variety_is_only_origin`` is tested against."""
-    lms = [g.leading_monomial() for g in basis.generators]
-    for i in range(basis.nvars):
-        if not any(m[i] > 0 and all(e == 0 for k, e in enumerate(m) if k != i) for m in lms):
-            return False
-    return True
-
-
 def variety_is_only_origin(ideal: PolyIdeal) -> bool:
     """Decide whether the common zero locus over the algebraic closure is {0}.
 
@@ -519,8 +472,9 @@ def n2_entries(algebra) -> list[MPoly]:
     """Entries of the squared symbolic left-multiplication matrix.
 
     With one variable per basis vector, the matrix N has N[k][i] = w_ki * x_i,
-    and entry (r, c) of N^2 is sum_k w_rk * w_kc * x_k * x_c.  An element is an
-    absolute zero divisor exactly when all entries vanish at its coordinates.
+    and entry (r, c) of N^2 is sum_k w_rk * w_kc * x_k * x_c, one distinct
+    monomial per k.  An element is an absolute zero divisor exactly when all
+    entries vanish at its coordinates.
     """
     n = algebra.n
     m = algebra.M
@@ -534,12 +488,7 @@ def n2_entries(algebra) -> list[MPoly]:
                     exps = [0] * n
                     exps[k] += 1
                     exps[c] += 1
-                    key = tuple(exps)
-                    acc = terms.get(key, ZERO) + coeff
-                    if acc:
-                        terms[key] = acc
-                    elif key in terms:
-                        del terms[key]
+                    terms[tuple(exps)] = coeff
             out.append(MPoly(n, terms))
     return out
 

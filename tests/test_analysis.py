@@ -24,6 +24,7 @@ from conftest import (
     alg,
     pairwise_downward_directed,
 )
+from reference import degeneracy_witnesses
 
 rationals = st.builds(Rat, st.integers(-3, 3), st.integers(1, 2))
 nonzero_rationals = rationals.filter(bool)
@@ -79,7 +80,7 @@ class TestDegeneracy:
         v = analysis.degeneracy(deg4)
         assert v.state == "yes"
         assert v.witness == vec([0, 0, 0, 1])
-        assert vec([0, 0, 0, 1]) in analysis.degeneracy_witnesses(deg4)
+        assert vec([0, 0, 0, 1]) in degeneracy_witnesses(deg4)
 
     def test_complete2(self, complete2):
         v = analysis.degeneracy(complete2)
@@ -155,7 +156,7 @@ class TestDegeneracy:
         # witness comes from the ordered search, not a loop-free vertex or
         # the perfect case
         a = alg(rows)
-        assert analysis._first_azd_witness(a) == (analysis.degeneracy_witnesses(a) or [None])[0]
+        assert analysis._first_azd_witness(a) == (degeneracy_witnesses(a) or [None])[0]
 
     def test_tridiagonal_nullity_one_prunes_the_scan(self, monkeypatch):
         # 2 on the diagonal, 1 beside it, column 7 = column 6 + column 8:
@@ -194,27 +195,26 @@ class TestDegeneracy:
 
 
 class TestNondegeneratePerfectCheck:
+    """A perfect algebra is nondegenerate iff every vertex has a loop."""
+
     def test_all_loops(self):
-        assert analysis.nondegenerate_perfect_check(alg([[1, 1], [0, 1]]))
+        a = alg([[1, 1], [0, 1]])
+        assert a.is_perfect()
+        assert analysis.degeneracy(a).is_no
 
     def test_loop_free_vertex(self):
         # perfect: det = -1; vertex 0 has no loop
         a = alg([[0, 1], [1, 1]])
         assert a.is_perfect()
-        assert not analysis.nondegenerate_perfect_check(a)
-
-    def test_requires_perfect(self, complete2):
-        with pytest.raises(ValueError):
-            analysis.nondegenerate_perfect_check(complete2)
+        assert analysis.degeneracy(a).is_yes
 
     @given(algebras())
     @settings(max_examples=40, deadline=None)
     def test_matches_degeneracy_engine(self, a):
         if not a.is_perfect():
             return
-        assert analysis.nondegenerate_perfect_check(a) == (
-            analysis.degeneracy(a).state == "no"
-        )
+        loops = all(a.M.at(i, i) != 0 for i in range(a.n))
+        assert loops == analysis.degeneracy(a).is_no
 
 
 class TestSemiprime:

@@ -9,7 +9,7 @@ from evolalg.exactla import (
     Rat,
     Subspace,
     kernel_basis,
-    rank,
+    pivot_columns,
     rat,
     rref,
     solve,
@@ -87,9 +87,9 @@ class TestRref:
         assert rref(Mat.identity(3)) == Mat.identity(3)
 
     def test_zero_matrix(self):
-        z = Mat.zero(2, 2)
+        z = Mat.from_rows([[0, 0], [0, 0]])
         assert rref(z) == z
-        assert rank(z) == 0
+        assert pivot_columns(z) == []
 
     @given(matrices())
     def test_idempotent(self, m):
@@ -125,7 +125,7 @@ class TestKernel:
         assert kernel_basis(Mat.identity(3)) == Subspace.zero(3)
 
     def test_zero_matrix_has_full_kernel(self):
-        assert kernel_basis(Mat.zero(2, 2)) == Subspace.full(2)
+        assert kernel_basis(Mat.from_rows([[0, 0], [0, 0]])) == Subspace.full(2)
 
     @given(matrices())
     def test_kernel_vectors_annihilate(self, m):
@@ -134,8 +134,10 @@ class TestKernel:
             assert vec_is_zero(m.matvec(v))
 
     @given(matrices())
+    @settings(max_examples=40)
     def test_rank_nullity(self, m):
-        assert rank(m) + kernel_basis(m).dim == m.cols
+        sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x) for x in m.entries])
+        assert sm.rank() + kernel_basis(m).dim == m.cols
 
     @given(square_matrices)
     def test_det_vs_kernel(self, m):
@@ -195,7 +197,7 @@ class TestSubspace:
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
-            Subspace.full(2).contains(Subspace.full(3))
+            Subspace.full(2).member(vec([1, 0, 0]))
 
     def test_axes(self):
         s = Subspace.axes(3, [2, 0])

@@ -53,7 +53,7 @@ class TestConstruction:
         assert g.edges() == [(0, 0), (1, 0)]
 
     def test_zero_matrix_edgeless(self):
-        g = G.from_matrix(Mat.zero(3, 3))
+        g = G.from_matrix(Mat.from_rows([[0] * 3] * 3))
         assert g.edges() == []
 
     def test_sinks_match_zero_columns(self):
