@@ -3,7 +3,7 @@
 The graph of an algebra with structure matrix M has an edge i -> j exactly
 when M[j][i] != 0, i.e. when basis vector j appears in the square of basis
 vector i.  All invariants used by the verdict engines live here: sinks,
-reachability, ancestor sets, hereditary subsets, downward directedness,
+reachability, ancestor sets, hereditary sets, downward directedness,
 undirected components, iterated sink strata, and DOT export.
 """
 
@@ -12,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EngineLimitError
 from .exactla import Mat
-
-DEFAULT_HEREDITARY_BOUND = 20
 
 
 @dataclass(frozen=True)
@@ -87,30 +84,6 @@ def reach(g: DiGraph, seed: Iterable[int]) -> frozenset[int]:
 def is_hereditary(g: DiGraph, s: Iterable[int]) -> bool:
     s = frozenset(s)
     return reach(g, s) == s
-
-
-def hereditary_subsets(g: DiGraph) -> list[frozenset[int]]:
-    """All hereditary vertex sets, ascending by size then lexicographic.
-
-    Enumerates the union lattice generated by single-vertex closures; every
-    hereditary set is the union of the closures of its members.  The output
-    can be exponential in n, hence the hard bound.
-    """
-    if g.n > DEFAULT_HEREDITARY_BOUND:
-        raise EngineLimitError(
-            f"hereditary enumeration bound exceeded: n={g.n} > {DEFAULT_HEREDITARY_BOUND}"
-        )
-    closures = sorted({reach(g, (v,)) for v in range(g.n)}, key=lambda s: (len(s), sorted(s)))
-    found = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        current = frontier.pop()
-        for c in closures:
-            u = current | c
-            if u not in found:
-                found.add(u)
-                frontier.append(u)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def ancestors(g: DiGraph) -> Iterable[frozenset[int]]:

@@ -9,7 +9,9 @@ pruned or early-stopping engines must agree with:
 * ``only_origin_homogeneous`` reads the origin test off a completed
   Groebner basis, where ``poly.variety_is_only_origin`` stops early;
 * ``evaluate`` and ``substitute`` apply a polynomial to a point or to other
-  polynomials, to check the zero locus of ``poly.n2_entries`` directly.
+  polynomials, to check the zero locus of ``poly.n2_entries`` directly;
+* ``brute_hereditary`` lists every hereditary vertex set by testing every
+  subset, where ``analysis.prime_ideals`` tries only the sets V - anc(v).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+from evolalg import graph as G
 from evolalg.algebra import EvolutionAlgebra
 from evolalg.analysis import _check_support_bound, _embed, _support_system
 from evolalg.exactla import Rat, Vec, ZERO, rat
@@ -89,4 +92,14 @@ def substitute(p: MPoly, values: Sequence[MPoly]) -> MPoly:
             for _ in range(e):
                 term = term * v
         out = out + term
+    return out
+
+
+def brute_hereditary(g: G.DiGraph) -> list[frozenset[int]]:
+    """Every hereditary vertex set, ascending by size then lexicographically."""
+    out = []
+    for size in range(g.n + 1):
+        for s in itertools.combinations(range(g.n), size):
+            if G.is_hereditary(g, s):
+                out.append(frozenset(s))
     return out

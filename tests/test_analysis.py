@@ -24,7 +24,7 @@ from conftest import (
     alg,
     pairwise_downward_directed,
 )
-from reference import degeneracy_witnesses
+from reference import brute_hereditary, degeneracy_witnesses
 
 rationals = st.builds(Rat, st.integers(-3, 3), st.integers(1, 2))
 nonzero_rationals = rationals.filter(bool)
@@ -340,9 +340,7 @@ class TestPrimeIdeals:
             [0, 1, 3, 4],
         ]
         assert res.primes[0].space == Subspace.axes(5, [0, 3, 4])
-        reasons = dict(res.rejected)
-        assert reasons[frozenset({0, 1})] == "quotient-not-semiprime"
-        assert reasons[frozenset({3, 4})] == "quotient-not-downward-directed"
+        assert res.rejected == ((frozenset({0, 1}), "quotient-not-semiprime"),)
 
     def test_single_loop(self):
         res = analysis.prime_ideals(alg([[1]]))
@@ -364,15 +362,21 @@ class TestPrimeIdeals:
     @given(sparse_algebras())
     @settings(max_examples=60, deadline=None)
     def test_matches_the_definition(self, a):
-        # every proper hereditary set, classified from its quotient algebra
+        # every proper hereditary set, classified from its quotient algebra;
+        # those whose quotient graph is downward directed are all of the form
+        # V - anc(v), so they are exactly the candidates prime_ideals tries
+        g = a.graph()
+        vertices = frozenset(range(a.n))
+        candidates = {
+            vertices - {u for u in range(a.n) if v in G.reach(g, (u,))} for v in range(a.n)
+        }
         primes, rejected = [], []
-        for h in G.hereditary_subsets(a.graph()):
-            if len(h) == a.n:
-                continue
+        for h in brute_hereditary(g)[:-1]:  # the last, V, is not proper
             q = a.quotient_by_basic(h)
             if not pairwise_downward_directed(q.graph()):
-                rejected.append((h, "quotient-not-downward-directed"))
-            elif analysis.semiprime(q).is_yes:
+                continue
+            assert h in candidates
+            if analysis.semiprime(q).is_yes:
                 primes.append(a.basic_ideal(h))
             else:
                 rejected.append((h, "quotient-not-semiprime"))
@@ -381,8 +385,8 @@ class TestPrimeIdeals:
         )
 
     def test_isolated_loops_take_few_reach_sets(self, monkeypatch):
-        # 10 lattice closures, 10 ancestor sets and 3 per candidate (50); a
-        # graph per hereditary set would cost thousands of reach sets
+        # 10 ancestor sets and 3 per candidate (40); a graph per hereditary
+        # set would cost thousands of reach sets
         calls = []
         reach = G.reach
 
@@ -395,8 +399,18 @@ class TestPrimeIdeals:
         assert [b.vertices for b in res.primes] == [
             frozenset(range(10)) - {v} for v in reversed(range(10))
         ]
-        assert len(res.rejected) == 2**10 - 1 - 10
-        assert len(calls) < 100
+        assert res.rejected == ()
+        assert len(calls) <= 40
+
+    def test_isolated_loops_past_the_support_bound(self):
+        # 2^21 hereditary sets, but only 21 candidates, each with a
+        # one-dimensional quotient
+        n = 21
+        res = analysis.prime_ideals(alg([[int(i == j) for j in range(n)] for i in range(n)]))
+        assert [b.vertices for b in res.primes] == [
+            frozenset(range(n)) - {v} for v in reversed(range(n))
+        ]
+        assert res.rejected == ()
 
 
 class TestAbsorption:

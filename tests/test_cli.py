@@ -158,7 +158,7 @@ class TestAnalyzeCommand:
         assert report["engine"]["degeneracy_engine"] == "groebner"
 
     def test_engine_limit_gives_exit_two(self, tmp_path, capsys):
-        # a 17-cycle: tiny hereditary lattice, but past the support bound
+        # a 17-cycle: one prime ideal candidate, but past the support bound
         n = 17
         rows = [[1 if (i + 1) % n == j else 0 for i in range(n)] for j in range(n)]
         path = write_algebra(tmp_path, rows)
@@ -198,7 +198,8 @@ class TestAnalyzeCommand:
         assert cli.main(["analyze", str(path), "--json"]) == 0
 
     def test_every_engine_limit_degrades_gracefully(self, tmp_path, capsys):
-        # one connected 40-cycle with loops: every bounded engine hits its cap
+        # one connected 40-cycle with loops: every bounded engine hits its cap,
+        # and the one prime ideal candidate, the empty set, leaves A itself
         n = 40
         rows = [
             [1 if ((i + 1) % n == j or i == j) else 0 for i in range(n)]
@@ -209,6 +210,9 @@ class TestAnalyzeCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["engine"]["undetermined_present"] is True
         assert report["verdicts"]["decomposition"]["note"].startswith("engine-limit")
+        assert report["verdicts"]["prime_ideals"] == {
+            "error": "engine-limit: support bound exceeded: n=40 > 16"
+        }
         assert cli.main(["centroid", str(path)]) == 2
         assert "engine limit" in capsys.readouterr().err
 
@@ -364,10 +368,10 @@ class TestDataReports:
     # any verdict, witness, certificate or formatting shows up here
     DIGESTS = {
         "complete_pair": "8bf955c0bde56c223efa124c0b3f12a68012f8ecfde2d183068f44921b393597",
-        "five_vertex_lattice": "22d6ec7e5643d00c1d80e1ae367200b22dd5a3395005484207a5744bf950a047",
-        "isolated_loops": "70c48a3a05c81ce4c5cbdab3e50ee98629e97c3a79bcfd2c882ee8c6585d5d60",
-        "sink_cascade": "8cab12ce9ad59fffc70fcf62f9dec9f18e25629cd43f1fd02c217ee649953667",
-        "unique_zero_square": "1ab035fa65e5d7e24de42b30aea2d490152306f0b6f49ee4ae43fa7b8cb129d1",
+        "five_vertex_lattice": "8a3d8a41ba4cff7975dec5d8422ab2c5686b8d5c9c5ec6d0aeb0f0b9fca597b3",
+        "isolated_loops": "79e3651ed96e73ade9c0fe9517aba5c6088782a787925d6d4b6a8d172e6c99f9",
+        "sink_cascade": "62583096d08e2b1c4e43bcdfce254ee0c7a97741a8afdf67346d686b9858e721",
+        "unique_zero_square": "ba59e77350aeb2b8f8f51f3862705f2a2f4b2916a1119911285acd6b3320739d",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))

@@ -1,10 +1,6 @@
-import itertools
-
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from evolalg import graph as G
-from evolalg.errors import EngineLimitError
 from evolalg.exactla import Mat
 
 from conftest import (
@@ -12,7 +8,6 @@ from conftest import (
     COMPLETE2_ROWS,
     LATTICE5_ROWS,
     PRIME_NP_ROWS,
-    SEMI4_ROWS,
     SINK2_ROWS,
     SINK2B_ROWS,
     alg,
@@ -27,15 +22,6 @@ def digraphs(max_n=6):
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         ).map(lambda edges: G.DiGraph.from_edges(n, edges))
     )
-
-
-def brute_hereditary(g):
-    out = []
-    for size in range(g.n + 1):
-        for s in itertools.combinations(range(g.n), size):
-            if G.is_hereditary(g, s):
-                out.append(frozenset(s))
-    return out
 
 
 def based_at_closed_path(g, v):
@@ -104,48 +90,6 @@ class TestHereditary:
         assert not G.is_hereditary(g, {2})
         assert G.is_hereditary(g, set())
         assert G.is_hereditary(g, set(range(5)))
-
-    def test_lattice_enumeration_is_complete(self):
-        g = alg(LATTICE5_ROWS).graph()
-        got = G.hereditary_subsets(g)
-        assert got == sorted(brute_hereditary(g), key=lambda s: (len(s), sorted(s)))
-        for h in ({0, 1}, {0, 3, 4}, {1, 3, 4}, {0, 1, 3, 4}):
-            assert frozenset(h) in got
-        assert len(got) == 9
-
-    def test_semi4_has_only_trivial_hereditary_sets(self):
-        g = alg(SEMI4_ROWS).graph()
-        assert G.hereditary_subsets(g) == [frozenset(), frozenset({0, 1, 2, 3})]
-
-    def test_edgeless_pair(self):
-        assert len(G.hereditary_subsets(G.DiGraph.from_edges(2, ()))) == 4
-
-    def test_bound(self):
-        # an edgeless graph has 2^n hereditary sets; 21 vertices is one past the bound
-        with pytest.raises(
-            EngineLimitError, match=r"^hereditary enumeration bound exceeded: n=21 > 20$"
-        ):
-            G.hereditary_subsets(G.DiGraph.from_edges(21, ()))
-
-    @given(digraphs())
-    @settings(max_examples=60)
-    def test_matches_brute_force(self, g):
-        got = G.hereditary_subsets(g)
-        assert sorted(got, key=lambda s: (len(s), sorted(s))) == got
-        assert got == sorted(brute_hereditary(g), key=lambda s: (len(s), sorted(s)))
-
-    def test_matches_brute_force_ten_vertices(self):
-        import random
-
-        rng = random.Random(101)
-        for _ in range(3):
-            edges = {
-                (rng.randrange(10), rng.randrange(10)) for _ in range(rng.randint(5, 20))
-            }
-            g = G.DiGraph.from_edges(10, edges)
-            assert G.hereditary_subsets(g) == sorted(
-                brute_hereditary(g), key=lambda s: (len(s), sorted(s))
-            )
 
 
 class TestDownwardDirected:
