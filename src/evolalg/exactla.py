@@ -235,13 +235,14 @@ class Subspace:
 
     @staticmethod
     def axes(ambient_dim: int, indices: Iterable[int]) -> "Subspace":
-        """Span of the given coordinate axes."""
+        """Span of the given coordinate axes.  The sorted unit rows are
+        already the canonical basis, so no elimination runs."""
         rows = []
         for i in sorted(set(indices)):
             if not 0 <= i < ambient_dim:
                 raise ValueError(f"axis {i} out of range")
             rows.append([ONE if j == i else ZERO for j in range(ambient_dim)])
-        return Subspace.span(rows, ambient_dim)
+        return Subspace(ambient_dim, Mat.from_rows(rows, cols=ambient_dim))
 
     @property
     def dim(self) -> int:

@@ -14,19 +14,21 @@ pair (i, j) goes when lm(h) divides its lcm and differs from lcm(i, h) and
 lcm(j, h).  The pairs left come off a heap in ascending grevlex order of
 their lcm.  The reduction cap counts only the pairs actually reduced.
 
-``variety_is_only_origin`` on homogeneous input stops the same loop as soon
+One early-stopping loop, ``_buchberger``, answers every question asked of
+an ideal.  ``variety_is_only_origin`` on homogeneous input stops it as soon
 as the leading monomials held so far include a constant or a pure power of
 every variable: they all lie in LT(I), so k[x]/I is finite dimensional, and
 a homogeneous ideal with finitely many zeros vanishes only at the origin.
-The tests check this early stop against the verdict read off a completed
-basis (``tests/reference.py``).
+``in_radical`` stops it at the first constant leading monomial.  The tests
+check both early stops against a completed, reduced Groebner basis, which
+only ``tests/reference.py`` builds.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EngineLimitError
 from .exactla import ONE, Rat, ZERO, rat
@@ -62,7 +64,7 @@ def _monom_lcm(a: Monom, b: Monom) -> Monom:
 class MPoly:
     """Polynomial as a map from exponent tuples to nonzero rational coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_lm")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
@@ -79,6 +81,17 @@ class MPoly:
                     elif m in clean:
                         del clean[m]
         self.terms = clean
+        self._lm = None  # the leading monomial, filled on first use
+
+    @staticmethod
+    def _of(nvars: int, terms: dict) -> "MPoly":
+        """Trusted constructor: ``terms`` maps exponent tuples of length
+        ``nvars`` to nonzero coefficients and is taken over, not copied."""
+        p = MPoly.__new__(MPoly)
+        p.nvars = nvars
+        p.terms = terms
+        p._lm = None
+        return p
 
     @staticmethod
     def const(nvars: int, c) -> "MPoly":
@@ -116,26 +129,17 @@ class MPoly:
                 out[m] = acc
             elif m in out:
                 del out[m]
-        p = MPoly.__new__(MPoly)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        return MPoly._of(self.nvars, out)
 
     def __neg__(self) -> "MPoly":
-        p = MPoly.__new__(MPoly)
-        p.nvars = self.nvars
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return MPoly._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def scale(self, c) -> "MPoly":
         c = rat(c)
-        p = MPoly.__new__(MPoly)
-        p.nvars = self.nvars
-        p.terms = {} if c == 0 else {m: c * v for m, v in self.terms.items()}
-        return p
+        return MPoly._of(self.nvars, {} if c == 0 else {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Rat)):
@@ -150,23 +154,22 @@ class MPoly:
                     out[m] = acc
                 elif m in out:
                     del out[m]
-        p = MPoly.__new__(MPoly)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        return MPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
 
     def mul_term(self, exps: Monom, c: Rat) -> "MPoly":
-        p = MPoly.__new__(MPoly)
-        p.nvars = self.nvars
-        p.terms = {_monom_mul(m, exps): c * v for m, v in self.terms.items()} if c else {}
-        return p
+        return MPoly._of(
+            self.nvars, {_monom_mul(m, exps): c * v for m, v in self.terms.items()} if c else {}
+        )
 
     def leading_monomial(self) -> Monom:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        """The grevlex-largest exponent tuple, found once per polynomial."""
+        if self._lm is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading monomial")
+            self._lm = max(self.terms, key=grevlex_key)
+        return self._lm
 
     def leading_coeff(self) -> Rat:
         return self.terms[self.leading_monomial()]
@@ -175,9 +178,6 @@ class MPoly:
         if not self.terms:
             return self
         return self.scale(ONE / self.leading_coeff())
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def is_homogeneous(self) -> bool:
         degs = {sum(m) for m in self.terms}
@@ -239,36 +239,19 @@ class PolyIdeal:
         return PolyIdeal(nvars, tuple(cleaned))
 
 
-class _Reducers(tuple):
-    """Divisors in trial order, each held as (leading monomial, leading
-    coefficient, other terms) so that a reduction does not recompute them."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, polys: Iterable[MPoly]) -> "_Reducers":
-        return cls(_held(g) for g in polys if g)
-
-
-def _held(g: MPoly):
-    lm = g.leading_monomial()
-    return lm, g.terms[lm], tuple((m, c) for m, c in g.terms.items() if m != lm)
-
-
 def _descending(m: Monom):
     """Heap key under which the grevlex-largest monomial comes out first."""
     return (-sum(m), m[::-1])
 
 
-def normal_form(p: MPoly, basis) -> MPoly:
+def normal_form(p: MPoly, polys: Sequence[MPoly]) -> MPoly:
     """Remainder of p under multivariate division by the given polynomials.
 
     Reducers are tried in list order against the current grevlex-largest
     reducible term, so the result is deterministic; it is the canonical normal
-    form whenever the basis is a Groebner basis.
+    form whenever the polynomials form a Groebner basis.
     """
-    if not isinstance(basis, _Reducers):
-        basis = _Reducers.of(basis.generators if isinstance(basis, PolyIdeal) else basis)
+    reducers = [(g.leading_monomial(), g.terms) for g in polys if g]
     current = dict(p.terms)
     order = [(_descending(m), m) for m in current]
     heapq.heapify(order)
@@ -278,15 +261,17 @@ def normal_form(p: MPoly, basis) -> MPoly:
         c = current.pop(m, None)
         if c is None:
             continue  # cancelled, or pushed twice
-        for lm, lc, tail in basis:
+        for lm, terms in reducers:
             if _monom_divides(lm, m):
                 break
         else:
             remainder[m] = c
             continue
         shift = _monom_div(m, lm)
-        factor = c / lc
-        for mg, cg in tail:
+        factor = c / terms[lm]
+        for mg, cg in terms.items():
+            if mg == lm:
+                continue
             key = _monom_mul(mg, shift)
             old = current.get(key)
             if old is None:
@@ -298,7 +283,7 @@ def normal_form(p: MPoly, basis) -> MPoly:
                     current[key] = acc
                 else:
                     del current[key]
-    return MPoly(p.nvars, remainder)
+    return MPoly._of(p.nvars, remainder)
 
 
 def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
@@ -334,15 +319,11 @@ def _buchberger(ideal: PolyIdeal, var_bound: int) -> Iterator[tuple[MPoly, Monom
     index.
     """
     if ideal.nvars > var_bound:
-        raise EngineLimitError(
-            f"variable bound exceeded: {ideal.nvars} > {var_bound}"
-        )
+        raise EngineLimitError(f"variable bound exceeded: {ideal.nvars} > {var_bound}")
     inputs = sorted({g.monic() for g in ideal.generators if g}, key=MPoly.sort_key)
     basis: list[MPoly] = []
     lms: list[Monom] = []
-    held: list = []
     active: list[int] = []  # indices of the reducers, in basis order
-    reducers = _Reducers()
     queue: list[tuple] = []  # heap of (grevlex_key(lcm), i, j, lcm)
     reductions = 0
     while True:
@@ -352,10 +333,8 @@ def _buchberger(ideal: PolyIdeal, var_bound: int) -> Iterator[tuple[MPoly, Monom
             _, i, j, _ = heapq.heappop(queue)
             reductions += 1
             if reductions > DEFAULT_REDUCTION_CAP:
-                raise EngineLimitError(
-                    f"S-pair reduction cap exceeded ({DEFAULT_REDUCTION_CAP})"
-                )
-            h = normal_form(s_polynomial(basis[i], basis[j]), reducers)
+                raise EngineLimitError(f"S-pair reduction cap exceeded ({DEFAULT_REDUCTION_CAP})")
+            h = normal_form(s_polynomial(basis[i], basis[j]), [basis[g] for g in active])
             if h.is_zero():
                 continue
             h = h.monic()
@@ -388,48 +367,25 @@ def _buchberger(ideal: PolyIdeal, var_bound: int) -> Iterator[tuple[MPoly, Monom
         active = [g for g in active if not _monom_divides(lm_h, lms[g])] + [t]
         basis.append(h)
         lms.append(lm_h)
-        held.append(_held(h))
-        reducers = _Reducers(held[g] for g in active)
         yield h, lm_h
 
 
-def groebner(ideal: PolyIdeal, *, var_bound: int = DEFAULT_VAR_BOUND) -> PolyIdeal:
-    """Reduced grevlex Groebner basis.
-
-    Buchberger's algorithm with the Gebauer-Moeller criteria (see
-    ``_buchberger``) runs to completion; the basis it yields is then cut to a
-    minimal one and tail-reduced.  The reduced basis is unique, so the
-    criteria change only how much work is done, never the result.
-    """
-    # minimal basis: scan leading monomials upward, keeping only the ones not
-    # divisible by an already kept (hence smaller or equal) leading monomial
-    minimal: list[tuple[MPoly, Monom]] = []
-    for g, lm in sorted(_buchberger(ideal, var_bound), key=lambda e: grevlex_key(e[1])):
-        if not any(_monom_divides(m, lm) for _, m in minimal):
-            minimal.append((g, lm))
-    # tail-reduce each element against the others to get the reduced basis
-    reduced = []
-    for i, (g, _) in enumerate(minimal):
-        others = [o for k, (o, _) in enumerate(minimal) if k != i]
-        reduced.append(normal_form(g, others).monic() if others else g)
-    reduced.sort(key=MPoly.sort_key)
-    return PolyIdeal(ideal.nvars, tuple(reduced))
-
-
-def is_unit_ideal(basis: PolyIdeal) -> bool:
-    return any(g.total_degree() == 0 for g in basis.generators)
-
-
 def in_radical(p: MPoly, ideal: PolyIdeal) -> bool:
-    """Radical membership: adjoin z and test whether 1 - z*p makes the ideal trivial."""
+    """Radical membership by adjoining z: p lies in the radical of I exactly
+    when J = <I, 1 - z*p> is the unit ideal.  The Buchberger loop on J stops
+    at the first constant leading monomial, and that is exact: such a
+    monomial leads a nonzero constant of J, so 1 lies in J; and when the run
+    completes, its leading monomials generate LT(J), so if none is constant,
+    1 is not in LT(J) and J is not the unit ideal.
+    """
     if p.is_zero():
         return True
     n = ideal.nvars
     gens = [g.extend(n + 1) for g in ideal.generators]
     z = MPoly.variable(n + 1, n)
     gens.append(MPoly.const(n + 1, 1) - z * p.extend(n + 1))
-    basis = groebner(PolyIdeal.of(n + 1, gens), var_bound=DEFAULT_VAR_BOUND + 1)
-    return is_unit_ideal(basis)
+    run = _buchberger(PolyIdeal.of(n + 1, gens), DEFAULT_VAR_BOUND + 1)
+    return any(not any(lm) for _, lm in run)  # stops at the first constant
 
 
 def variety_is_only_origin(ideal: PolyIdeal) -> bool:

@@ -6,6 +6,9 @@ pruned or early-stopping engines must agree with:
 * ``degeneracy_witnesses`` scans every support, where ``analysis.degeneracy``
   returns its first witness after a loop test, a rank test and a pruned
   search;
+* ``groebner`` completes the Buchberger loop and builds the reduced basis,
+  and ``is_unit_ideal`` reads off it whether 1 lies in the ideal, where
+  ``poly.in_radical`` stops at the first constant leading monomial;
 * ``only_origin_homogeneous`` reads the origin test off a completed
   Groebner basis, where ``poly.variety_is_only_origin`` stops early;
 * ``evaluate`` and ``substitute`` apply a polynomial to a point or to other
@@ -23,7 +26,16 @@ from evolalg import graph as G
 from evolalg.algebra import EvolutionAlgebra
 from evolalg.analysis import _check_support_bound, _embed, _support_system
 from evolalg.exactla import Rat, Vec, ZERO, rat
-from evolalg.poly import MPoly, PolyIdeal
+from evolalg.poly import (
+    DEFAULT_VAR_BOUND,
+    MPoly,
+    Monom,
+    PolyIdeal,
+    _buchberger,
+    _monom_divides,
+    grevlex_key,
+    normal_form,
+)
 
 
 def iter_supports(n: int):
@@ -50,6 +62,33 @@ def degeneracy_witnesses(A: EvolutionAlgebra) -> list[Vec]:
     nontrivial kernel (the first kernel basis vector)."""
     _check_support_bound(A)
     return list(_support_witnesses(A, iter_supports(A.n)))
+
+
+def groebner(ideal: PolyIdeal, *, var_bound: int = DEFAULT_VAR_BOUND) -> PolyIdeal:
+    """Reduced grevlex Groebner basis.
+
+    Buchberger's algorithm with the Gebauer-Moeller criteria (see
+    ``poly._buchberger``) runs to completion; the basis it yields is then cut
+    to a minimal one and tail-reduced.  The reduced basis is unique, so the
+    criteria change only how much work is done, never the result.
+    """
+    # minimal basis: scan leading monomials upward, keeping only the ones not
+    # divisible by an already kept (hence smaller or equal) leading monomial
+    minimal: list[tuple[MPoly, Monom]] = []
+    for g, lm in sorted(_buchberger(ideal, var_bound), key=lambda e: grevlex_key(e[1])):
+        if not any(_monom_divides(m, lm) for _, m in minimal):
+            minimal.append((g, lm))
+    # tail-reduce each element against the others to get the reduced basis
+    reduced = []
+    for i, (g, _) in enumerate(minimal):
+        others = [o for k, (o, _) in enumerate(minimal) if k != i]
+        reduced.append(normal_form(g, others).monic() if others else g)
+    reduced.sort(key=MPoly.sort_key)
+    return PolyIdeal(ideal.nvars, tuple(reduced))
+
+
+def is_unit_ideal(basis: PolyIdeal) -> bool:
+    return any(max((sum(m) for m in g.terms), default=0) == 0 for g in basis.generators)
 
 
 def only_origin_homogeneous(basis: PolyIdeal) -> bool:

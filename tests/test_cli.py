@@ -468,7 +468,7 @@ class TestOneAnalysisPerReport:
             (analysis, "kernel_basis"),
             (algebra, "kernel_basis"),
             (analysis, "_ordered_witness"),
-            (poly, "groebner"),
+            (poly, "_buchberger"),
         ):
             original = getattr(owner, name)
             monkeypatch.setattr(

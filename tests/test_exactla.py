@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from evolalg import exactla
 from evolalg.exactla import (
     Mat,
     Rat,
@@ -204,6 +205,19 @@ class TestSubspace:
         assert s.dim == 2
         assert s.member(vec([1, 0, 0])) and s.member(vec([0, 0, 5]))
         assert not s.member(vec([0, 1, 0]))
+
+    def test_axes_runs_no_elimination(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exactla, "rref", lambda m: calls.append(m) or rref(m))
+        assert Subspace.axes(4, [3, 1, 3]).dim == 2
+        assert calls == []
+
+    @given(st.data())
+    def test_axes_is_the_span_of_its_unit_rows(self, data):
+        n = data.draw(st.integers(0, 6))
+        indices = data.draw(st.lists(st.integers(0, n - 1), max_size=8)) if n else []
+        rows = [[1 if j == i else 0 for j in range(n)] for i in indices]
+        assert Subspace.axes(n, indices) == Subspace.span(rows, n)
 
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3), max_size=3))
     def test_canonical_equality(self, rows):

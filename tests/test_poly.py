@@ -11,9 +11,7 @@ from evolalg.poly import (
     MPoly,
     PolyIdeal,
     grevlex_key,
-    groebner,
     in_radical,
-    is_unit_ideal,
     n2_entries,
     n2_ideal,
     normal_form,
@@ -21,7 +19,7 @@ from evolalg.poly import (
 )
 
 from conftest import COMPLETE2_ROWS, DEG4_ROWS, LINE4_ROWS, alg
-from reference import evaluate, only_origin_homogeneous, substitute
+from reference import evaluate, groebner, is_unit_ideal, only_origin_homogeneous, substitute
 
 
 def mono(nvars, exps, c=1):
@@ -116,6 +114,13 @@ class TestGrevlex:
         lm = p.leading_monomial()
         assert all(grevlex_key(lm) >= grevlex_key(m) for m in p.terms)
 
+    def test_leading_monomial_is_found_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(poly, "grevlex_key", lambda m: calls.append(m) or grevlex_key(m))
+        p = MPoly(3, {(2, 0, 0): 1, (1, 1, 0): 2, (0, 1, 1): 3, (0, 0, 1): 4})
+        assert p.leading_monomial() == p.leading_monomial() == (2, 0, 0)
+        assert len(calls) == len(p.terms)
+
 
 class TestArithmetic:
     @given(polys(3), polys(3), polys(3))
@@ -203,7 +208,7 @@ class TestGroebner:
         ideal = n2_ideal(alg(LINE4_ROWS))
         basis = groebner(ideal)
         for g in ideal.generators:
-            assert normal_form(g, basis).is_zero()
+            assert normal_form(g, basis.generators).is_zero()
 
     def test_var_bound(self):
         gens = [MPoly.variable(9, 0)]
@@ -261,18 +266,18 @@ class TestGroebner:
 class TestNormalForm:
     def test_membership(self):
         x = MPoly.variable(2, 0)
-        assert normal_form(x, PolyIdeal.of(2, [x])).is_zero()
+        assert normal_form(x, PolyIdeal.of(2, [x]).generators).is_zero()
 
     def test_non_membership(self):
         x = MPoly.variable(2, 0)
         y = MPoly.variable(2, 1)
-        assert normal_form(x, PolyIdeal.of(2, [y])) == x
+        assert normal_form(x, PolyIdeal.of(2, [y]).generators) == x
 
     def test_substitution_then_reduction(self):
         x = MPoly.variable(2, 0)
         y = MPoly.variable(2, 1)
         basis = groebner(PolyIdeal.of(2, [x - y, y * y]))
-        assert normal_form(x * x, basis).is_zero()
+        assert normal_form(x * x, basis.generators).is_zero()
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -285,7 +290,7 @@ class TestNormalForm:
         combo = MPoly(nvars)
         for g in gens:
             combo = combo + data.draw(polys(nvars, max_deg=1)) * g
-        assert normal_form(combo, basis).is_zero()
+        assert normal_form(combo, basis.generators).is_zero()
 
 
 class TestVarietyOrigin:
@@ -316,6 +321,30 @@ class TestVarietyOrigin:
         for i in range(3):
             assert in_radical(MPoly.variable(4, i), ideal)
         assert not in_radical(MPoly.variable(4, 3), ideal)
+
+    def test_radical_membership_stops_at_the_first_constant(self, monkeypatch):
+        # the completed run reduces 15 S-pairs here
+        calls = []
+        s_polynomial = poly.s_polynomial
+        monkeypatch.setattr(
+            poly, "s_polynomial", lambda f, g: calls.append(None) or s_polynomial(f, g)
+        )
+        assert in_radical(MPoly.variable(4, 2), n2_ideal(alg(DEG4_ROWS)))
+        assert len(calls) <= 12
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_radical_membership_agrees_with_the_completed_basis(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        gens = [p for p in data.draw(st.lists(polys(nvars), min_size=1, max_size=3)) if p]
+        p = data.draw(polys(nvars, max_deg=1))
+        if not gens or p.is_zero():
+            return
+        z = MPoly.variable(nvars + 1, nvars)
+        adjoined = [g.extend(nvars + 1) for g in gens]
+        adjoined.append(MPoly.const(nvars + 1, 1) - z * p.extend(nvars + 1))
+        basis = groebner(PolyIdeal.of(nvars + 1, adjoined), var_bound=nvars + 1)
+        assert in_radical(p, PolyIdeal.of(nvars, gens)) == is_unit_ideal(basis)
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
