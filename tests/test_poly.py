@@ -343,7 +343,7 @@ class TestVarietyOrigin:
         z = MPoly.variable(nvars + 1, nvars)
         adjoined = [g.extend(nvars + 1) for g in gens]
         adjoined.append(MPoly.const(nvars + 1, 1) - z * p.extend(nvars + 1))
-        basis = groebner(PolyIdeal.of(nvars + 1, adjoined), var_bound=nvars + 1)
+        basis = groebner(PolyIdeal.of(nvars + 1, adjoined))
         assert in_radical(p, PolyIdeal.of(nvars, gens)) == is_unit_ideal(basis)
 
     @given(st.data())
