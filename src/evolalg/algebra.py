@@ -103,11 +103,6 @@ class EvolutionAlgebra:
                 entries.append(x[i] * self.M.at(k, i))
         return Mat(self.n, self.n, tuple(entries))
 
-    def annihilator(self) -> Subspace:
-        """Span of the basis vectors whose square is zero."""
-        dead = [i for i in range(self.n) if all(self.M.at(j, i) == 0 for j in range(self.n))]
-        return Subspace.axes(self.n, dead)
-
     def is_perfect(self) -> bool:
         return self.null_space().dim == 0
 

@@ -87,12 +87,9 @@ def is_absolute_zero_divisor(A: EvolutionAlgebra, x: Sequence[Rat]) -> bool:
 
 
 def is_zero_annihilator(A: EvolutionAlgebra) -> bool:
-    """The graph is sinkless iff the annihilator vanishes; both are computed."""
-    sinkless = graphmod.is_sinkless(A.graph())
-    algebraic = A.annihilator().dim == 0
-    if sinkless != algebraic:
-        raise RuntimeError("internal error: sink test disagrees with annihilator")
-    return sinkless
+    """The annihilator is level 1 of the series, which ``absorption`` checks
+    against the sinks: it vanishes iff the graph is sinkless."""
+    return absorption(A)[0].dim == 0
 
 
 def _support_system(
@@ -330,33 +327,26 @@ def prime_ideals(A: EvolutionAlgebra) -> PrimeIdealsResult:
 def absorption(A: EvolutionAlgebra) -> tuple[Subspace, int]:
     """Absorption radical and the annihilating-series stabilizing index.
 
-    The radical is spanned by the vertices removed during iterated sink
-    elimination; level n of the annihilating series must equal the span of the
-    first n strata, which is asserted, not assumed.
-    """
-    strata = graphmod.sink_strata(A.graph())
+    Level k of the series must equal the span of the first k sink strata (the
+    zero term alone when there are none), so one comparison checks both links:
+    level 1, the annihilator, is the span of the sinks, and the stable term,
+    the radical, is the span of all strata.  Held on A for the two
+    ``is_zero_annihilator`` calls of a report."""
+    return A._held("absorption", lambda: _absorption(A))
+
+
+def _absorption(A: EvolutionAlgebra) -> tuple[Subspace, int]:
+    strata = graphmod.sink_strata(A.graph()).strata
     series, asi = A.ann_series()
-    accumulated: set[int] = set()
-    spans = []
-    for layer in strata.strata:
-        accumulated |= layer
-        spans.append(Subspace.axes(A.n, accumulated))
-    depth_ok = len(strata.strata) == asi if strata.strata else asi == 1
-    if not depth_ok:
-        raise RuntimeError("internal error: strata depth disagrees with asi")
-    for level in range(1, asi + 1):
-        expected = spans[level - 1] if level <= len(spans) else Subspace.zero(A.n)
-        if series[level - 1] != expected:
-            raise RuntimeError("internal error: annihilating series mismatches strata")
-    radical = Subspace.axes(A.n, accumulated)
-    if series[asi - 1] != radical:
-        raise RuntimeError("internal error: radical differs from stable series term")
-    return radical, asi
+    levels = itertools.accumulate(strata, frozenset.union)
+    if series != ([Subspace.axes(A.n, s) for s in levels] or [Subspace.zero(A.n)]):
+        raise RuntimeError("internal error: annihilating series mismatches sink strata")
+    return series[-1], asi
 
 
 def has_absorption(A: EvolutionAlgebra, vertices: Iterable[int]) -> bool:
-    """A basic ideal absorbs exactly when the quotient algebra's graph is sinkless."""
-    return graphmod.is_sinkless(A.quotient_by_basic(vertices).graph())
+    """I absorbs iff A/I has a zero annihilator, checked by ``absorption``."""
+    return is_zero_annihilator(A.quotient_by_basic(vertices))
 
 
 def vn_element(A: EvolutionAlgebra, x: Sequence[Rat]) -> Optional[Vec]:

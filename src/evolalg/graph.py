@@ -58,10 +58,6 @@ def sinks(g: DiGraph) -> frozenset[int]:
     return frozenset(i for i in range(g.n) if not g.adj[i])
 
 
-def is_sinkless(g: DiGraph) -> bool:
-    return not sinks(g)
-
-
 def reach(g: DiGraph, seed: Iterable[int]) -> frozenset[int]:
     """Forward-reachable closure of a vertex set; contains the set itself."""
     seen = set()

@@ -177,7 +177,9 @@ class MPoly:
     def monic(self) -> "MPoly":
         if not self.terms:
             return self
-        return self.scale(ONE / self.leading_coeff())
+        out = self.scale(ONE / self.leading_coeff())
+        out._lm = self._lm  # a nonzero scale keeps the leading monomial
+        return out
 
     def is_homogeneous(self) -> bool:
         degs = {sum(m) for m in self.terms}

@@ -72,7 +72,25 @@ class TestZeroAnnihilator:
 
     @given(algebras())
     def test_matches_annihilator_dimension(self, a):
-        assert analysis.is_zero_annihilator(a) == (a.annihilator().dim == 0)
+        # the definition: no basis square e_i^2 (column i of M) is zero
+        assert analysis.is_zero_annihilator(a) == all(any(a.M.col(i)) for i in range(a.n))
+
+    @pytest.mark.parametrize("mutate", ["series", "strata"])
+    def test_checks_the_series_against_the_strata(self, mutate, monkeypatch):
+        # e2 is a sink and e1 is not: an empty level 1, or strata without
+        # their last layer, must trip the comparison in ``absorption``
+        a = alg([[1, 0], [1, 0]])
+        if mutate == "series":
+            monkeypatch.setattr(
+                algebra.EvolutionAlgebra, "_ann_series", lambda self: (Subspace.zero(self.n),)
+            )
+        else:
+            original = G.sink_strata
+            monkeypatch.setattr(
+                G, "sink_strata", lambda g: G.SinkStrata(original(g).strata[:-1], frozenset())
+            )
+        with pytest.raises(RuntimeError, match="internal error"):
+            analysis.is_zero_annihilator(a)
 
 
 class TestDegeneracy:
@@ -427,6 +445,15 @@ class TestAbsorption:
         assert analysis.has_absorption(lattice5, {3, 4})
         with pytest.raises(ValueError):
             analysis.has_absorption(lattice5, {2})
+
+    @given(algebras(), st.sets(st.integers(0, 3)))
+    def test_has_absorption_matches_the_definition(self, a, seed):
+        # I absorbs iff every vertex i outside H has some e_j, j outside H,
+        # in its square
+        h = G.reach(a.graph(), {v for v in seed if v < a.n})
+        outside = [i for i in range(a.n) if i not in h]
+        expected = all(any(a.M.at(j, i) for j in outside) for i in outside)
+        assert analysis.has_absorption(a, h) == expected
 
     def test_has_absorption_detects_new_sinks(self):
         # removing the loop vertex leaves the feeder vertex as a sink

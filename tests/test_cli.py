@@ -420,6 +420,20 @@ class TestOneAnalysisPerReport:
         assert report["verdicts"]["decomposition"]["summands"] == [cli.render_algebra_file(a)]
         assert calls == [a] and calls[0] is a
 
+    def test_connected_algebra_finds_its_sinks_once(self, monkeypatch):
+        # the centroid reads the sinks; the zero-annihilator verdict reads
+        # level 1 of the series, checked once against the sink strata
+        calls = []
+        for name in ("sinks", "sink_strata"):
+            original = getattr(graphmod, name)
+            monkeypatch.setattr(
+                graphmod, name,
+                lambda g, name=name, original=original: calls.append(name) or original(g),
+            )
+        a = alg(COMPLETE2_ROWS)
+        cli.build_report(a, cli.render_algebra_file(a))
+        assert sorted(calls) == ["sink_strata", "sinks"]
+
     def test_empty_quotient_reuses_semiprime(self, monkeypatch):
         calls = []
         original = analysis._semiprime

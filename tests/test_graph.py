@@ -57,7 +57,7 @@ class TestSinks:
         assert G.sinks(G.from_matrix(Mat.from_rows(COMPLETE2_ROWS))) == frozenset()
         assert G.sinks(G.from_matrix(Mat.from_rows(SINK2_ROWS))) == {1}
         assert G.sinks(G.DiGraph.from_edges(3, ())) == {0, 1, 2}
-        assert G.is_sinkless(G.from_matrix(Mat.from_rows(COMPLETE2_ROWS)))
+        assert not G.sinks(G.from_matrix(Mat.from_rows(COMPLETE2_ROWS)))
 
 
 class TestReach:
@@ -150,7 +150,7 @@ class TestSinkStrata:
             assert not (layer & seen)
             seen |= layer
         assert seen | res.residue == set(range(g.n))
-        assert G.is_sinkless(induced_subgraph(g, seen))
+        assert not G.sinks(induced_subgraph(g, seen))
 
     def test_cascade_stratified_are_the_non_cycle_based_vertices(self):
         # on this graph the two readings coincide: a vertex is stratified

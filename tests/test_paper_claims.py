@@ -17,8 +17,10 @@ the centroid is ``TestCentroid::test_matches_the_definition`` in
 ``test_analysis.py``, a sympy nullspace of the full n^2-unknown system;
 ``prime`` is still compared with the definition of downward directedness
 (every two reach sets meet), which also checks ``graph.is_downward_directed``.
-The annihilator and the absorption radical are each computed from the graph
-and from the structure matrix, and the engine raises if the two disagree.
+The annihilator and the absorption radical are levels of the annihilating
+series, computed from the structure matrix; one comparison in ``absorption``
+checks the whole series against the sink strata of the graph, and the engine
+raises if they disagree.
 
 Semiprimeness and perfection "can not be characterized in combinatorial
 terms": the two fixtures below are pairs of algebras with the same graph that

@@ -121,6 +121,15 @@ class TestGrevlex:
         assert p.leading_monomial() == p.leading_monomial() == (2, 0, 0)
         assert len(calls) == len(p.terms)
 
+    def test_monic_keeps_the_leading_monomial(self, monkeypatch):
+        p = MPoly(3, {(2, 0, 0): 2, (1, 1, 0): 3, (0, 0, 1): 4})
+        assert p.leading_monomial() == (2, 0, 0)
+        calls = []
+        monkeypatch.setattr(poly, "grevlex_key", lambda m: calls.append(m) or grevlex_key(m))
+        q = p.monic()
+        assert q.leading_monomial() == (2, 0, 0) and q.leading_coeff() == 1
+        assert calls == []
+
 
 class TestArithmetic:
     @given(polys(3), polys(3), polys(3))
